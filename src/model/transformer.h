@@ -16,6 +16,7 @@
 // thread-safe. See DESIGN.md "Threading model".
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -57,6 +58,15 @@ struct MasterWeights {
                                                     std::uint64_t seed);
 };
 
+// How a forward pass's rows map to cache sequences; it alone picks the
+// projection kernel (see project() in transformer.cpp). Each public forward
+// entry point passes its own shape.
+enum class RowShape {
+  kOne,    // one token of one sequence (forward_token, one-token chunk)
+  kChunk,  // one sequence's consecutive positions (forward_chunk)
+  kLanes,  // one row per distinct lane (forward_tokens, even for one lane)
+};
+
 class Model {
  public:
   // kv_storage chooses the precision of caches the model creates internally
@@ -89,12 +99,18 @@ class Model {
   // Total INT8 outlier columns across all matrices (0 for other precisions).
   std::size_t outlier_columns() const noexcept;
 
+  // The three public forward entry points are thin wrappers over one private
+  // row-batched pass (forward_rows): a row per token, each fed to a cache
+  // sequence. The workspace-taking overloads are re-entrant: concurrent
+  // callers must use distinct workspaces and disjoint cache sequences.
+  //
   // Process one token for sequence b: extends the cache by one position and
   // writes the final hidden state (post final-norm) to hidden_out [d_model].
-  // The workspace-taking overload is re-entrant: concurrent callers must use
-  // distinct workspaces and distinct cache sequences b.
   void forward_token(TokenId token, std::size_t b, KVCache& cache,
-                     std::span<float> hidden_out, InferenceWorkspace& ws);
+                     std::span<float> hidden_out, InferenceWorkspace& ws) {
+    forward_rows(std::span<const TokenId>(&token, 1), std::span<const std::size_t>(&b, 1),
+                 RowShape::kOne, cache, hidden_out, ws);
+  }
   void forward_token(TokenId token, std::size_t b, KVCache& cache,
                      std::span<float> hidden_out) {
     forward_token(token, b, cache, hidden_out, default_ws_);
@@ -104,21 +120,17 @@ class Model {
   void logits_from_hidden(std::span<const float> hidden, std::span<float> logits) const;
 
   // Lane-batched decode step: advances tokens.size() independent sequences by
-  // one token each. tokens[t] is fed to cache sequence seqs[t]; the final
-  // hidden states land in hidden_rows [lanes, d_model]. All weight-streaming
-  // ops (QKV, attention output, MLP, norms) run as lane-batched multi-column
-  // matvecs — each weight row is read once for the whole batch instead of
-  // once per lane, which is the decode-batching win on a memory-bound step.
-  //
-  // Contract: lane t's result (hidden state AND cache contents) is
-  // bit-identical to forward_token(tokens[t], seqs[t], ...) at the active
-  // kernel level for kF32/kI8/kI4 weights, and independent of which other
-  // lanes share the batch for every dtype (the matvec_multi contract). kF16
-  // matches bit-exactly at kScalar and within FMA tolerance at kNative.
-  // Sequences in seqs must be distinct; re-entrant under the same rules as
-  // forward_token (distinct workspaces, disjoint sequence sets).
+  // one token each. tokens[t] is fed to cache sequence seqs[t] (distinct);
+  // the final hidden states land in hidden_rows [lanes, d_model].
+  // Projections stream each weight row once for the whole batch. Lane t's
+  // hidden state and cache contents are bit-identical to
+  // forward_token(tokens[t], seqs[t], ...) for kF32/kI8/kI4 weights (kF16:
+  // at kScalar; within FMA tolerance at kNative), and independent of which
+  // other lanes share the batch. See DESIGN.md "Forward pass".
   void forward_tokens(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
-                      KVCache& cache, std::span<float> hidden_rows, InferenceWorkspace& ws);
+                      KVCache& cache, std::span<float> hidden_rows, InferenceWorkspace& ws) {
+    forward_rows(tokens, seqs, RowShape::kLanes, cache, hidden_rows, ws);
+  }
 
   // Batched counterpart of logits_from_hidden: hidden_rows is
   // [lanes, d_model], logits_rows is [lanes, vocab]. Lane t's row is
@@ -128,23 +140,27 @@ class Model {
                                std::span<float> logits_rows, std::size_t lanes) const;
 
   // Process `tokens` consecutive prompt tokens for sequence b as one batched
-  // pass: every layer op runs over the whole [tokens, features] chunk (GEMM
-  // projections, multi-row norms/activations, causal-masked batched
-  // attention, one append_many + commit per layer chunk). Under
-  // ORINSIM_KERNELS=scalar the result is bit-identical to feeding the tokens
-  // through forward_token one at a time.
+  // pass (GEMM projections, causal attention, one append_many + commit).
+  // Under ORINSIM_KERNELS=scalar the result is bit-identical to feeding the
+  // tokens through forward_token one at a time; a one-token chunk equals
+  // forward_token at both kernel levels.
   //
   // hidden_rows receives the final-norm hidden states: pass an empty span to
   // discard, a [d_model] span for the last position only, or a
   // [tokens, d_model] span for every position (perplexity scoring).
   void forward_chunk(std::span<const TokenId> tokens, std::size_t b, KVCache& cache,
-                     std::span<float> hidden_rows, InferenceWorkspace& ws);
+                     std::span<float> hidden_rows, InferenceWorkspace& ws) {
+    ws.ensure_rows(tokens.size());
+    std::fill_n(ws.seqs.begin(), tokens.size(), b);
+    forward_rows(tokens, std::span<const std::size_t>(ws.seqs.data(), tokens.size()),
+                 tokens.size() == 1 ? RowShape::kOne : RowShape::kChunk, cache, hidden_rows, ws);
+  }
 
   // Default number of prompt tokens per chunked-prefill pass.
   static constexpr std::size_t kDefaultPrefillChunk = 32;
 
-  // Chunk size used by prefill()/generate()/sequence_nll(); 0 or 1 selects
-  // the token-at-a-time path.
+  // Chunk size used by prefill()/generate()/sequence_nll(); 0 or 1 feeds the
+  // prompt one token per pass.
   std::size_t prefill_chunk() const noexcept { return prefill_chunk_; }
   void set_prefill_chunk(std::size_t chunk) noexcept { prefill_chunk_ = chunk; }
 
@@ -167,18 +183,12 @@ class Model {
   struct GenerateOptions {
     Sampler* sampler = nullptr;               // nullptr: greedy argmax
     trace::ExecutionTimeline* timeline = nullptr;
-    // Non-null: prefill and per-step decode run lanes in parallel on the
-    // pool with one workspace per shard. Sampling stays serialized in lane
+    // Non-null: prefill runs lanes in parallel on the pool with one
+    // workspace per shard, and each decode step splits the active lanes into
+    // one forward_tokens batch per shard. Sampling stays serialized in lane
     // order after each parallel section, so outputs are bit-identical to a
     // serial run (pool == nullptr) for any worker count.
     ThreadPool* pool = nullptr;
-    // Decode via forward_tokens (one lane-batched step over all active lanes,
-    // sharded into contiguous lane groups when a pool is set) instead of the
-    // per-lane forward_token loop. Outputs are bit-identical between the two
-    // paths for kF32/kI8/kI4 models at either kernel level (and for kF16
-    // under ORINSIM_KERNELS=scalar); kF16 at kNative stays within FMA
-    // tolerance. Exists so benchmarks can measure looped-vs-batched decode.
-    bool lane_batched_decode = true;
   };
 
   // Batched generation: each prompt is prefilled, then up to max_new_tokens
@@ -213,33 +223,19 @@ class Model {
     quant::WeightMatrix wq, wk, wv, wo, w_gate, w_up, w_down;
   };
 
-  void attention(std::size_t layer, std::size_t b, KVCache& cache,
-                 std::span<const float> normed, std::span<float> out,
-                 InferenceWorkspace& ws);
-  void mlp_swiglu(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                  InferenceWorkspace& ws);
-  void mlp_gelu(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                InferenceWorkspace& ws);
-
-  // Lane-batched counterparts (one row per decode lane): projections are
-  // multi-column matvecs sharing each weight stream across lanes; the
-  // per-lane attention score/softmax/V loop is unchanged from attention().
-  void attention_lanes(std::size_t layer, std::span<const std::size_t> seqs, KVCache& cache,
-                       std::span<const float> normed, std::span<float> out, std::size_t n,
-                       InferenceWorkspace& ws);
-  void mlp_swiglu_lanes(std::size_t layer, std::span<const float> normed,
-                        std::span<float> out, std::size_t n, InferenceWorkspace& ws);
-  void mlp_gelu_lanes(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                      std::size_t n, InferenceWorkspace& ws);
-
-  // Chunked counterparts: `normed` is [tokens, d_model] row-major.
-  void attention_chunk(std::size_t layer, std::size_t b, KVCache& cache,
-                       std::span<const float> normed, std::span<float> out,
-                       std::size_t tokens, InferenceWorkspace& ws);
-  void mlp_swiglu_chunk(std::size_t layer, std::span<const float> normed,
-                        std::span<float> out, std::size_t tokens, InferenceWorkspace& ws);
-  void mlp_gelu_chunk(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                      std::size_t tokens, InferenceWorkspace& ws);
+  // The forward pass: row t feeds tokens[t] to cache sequence seqs[t], laid
+  // out as `shape` says; the shape picks the projection kernel. hidden_rows
+  // is [rows, d_model] for kLanes, else empty, [d_model] (last row only) or
+  // [rows, d_model].
+  void forward_rows(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
+                    RowShape shape, KVCache& cache, std::span<float> hidden_rows,
+                    InferenceWorkspace& ws);
+  // ws.normed -> ws.attn (before the output projection), one row per seqs entry.
+  void attention(std::size_t layer, std::span<const std::size_t> seqs, RowShape shape,
+                 KVCache& cache, InferenceWorkspace& ws);
+  // ws.normed -> ws.mlp_out over n rows.
+  void mlp_swiglu(std::size_t layer, std::size_t n, RowShape shape, InferenceWorkspace& ws);
+  void mlp_gelu(std::size_t layer, std::size_t n, RowShape shape, InferenceWorkspace& ws);
 
   std::shared_ptr<const MasterWeights> master_;
   DType dtype_;

@@ -2,7 +2,7 @@
 //
 // A Model shares immutable quantized weights; everything a forward pass
 // mutates lives here. One workspace per concurrently-executing lane/worker
-// makes forward_token re-entrant: the batched decode loop runs lanes in
+// makes the forward pass re-entrant: the batched decode loop runs lanes in
 // parallel on a ThreadPool with one workspace per shard, while serial
 // callers use the Model's built-in default workspace.
 #pragma once
@@ -16,70 +16,47 @@ namespace orinsim {
 
 struct InferenceWorkspace {
   explicit InferenceWorkspace(const TransformerConfig& c)
-      : x(c.d_model),
-        normed(c.d_model),
-        q(c.d_model),
-        k(c.kv_dim()),
-        v(c.kv_dim()),
-        attn(c.d_model),
-        attn_proj(c.d_model),
-        gate(c.d_ff),
-        up(c.d_ff),
-        ff(c.d_ff),
-        mlp_out(c.d_model),
+      : d_model(c.d_model),
+        kv_dim(c.kv_dim()),
+        d_ff(c.d_ff),
         scores(c.max_seq),
-        kv_key(c.kv_dim()),
-        kv_value(c.kv_dim()),
         kv_rows_k(c.max_seq * c.kv_dim()),
         kv_rows_v(c.max_seq * c.kv_dim()),
-        hidden(c.d_model) {}
-
-  // Grow the chunked-prefill buffers to hold `chunk` tokens (no-op once
-  // sized; vectors never shrink, so alternating chunk sizes stay
-  // allocation-free after the first pass).
-  void ensure_chunk(const TransformerConfig& c, std::size_t chunk) {
-    if (chunk <= chunk_capacity) return;
-    cx.resize(chunk * c.d_model);
-    cnormed.resize(chunk * c.d_model);
-    cq.resize(chunk * c.d_model);
-    ck.resize(chunk * c.kv_dim());
-    cv.resize(chunk * c.kv_dim());
-    cattn.resize(chunk * c.d_model);
-    cattn_proj.resize(chunk * c.d_model);
-    cgate.resize(chunk * c.d_ff);
-    cup.resize(chunk * c.d_ff);
-    cff.resize(chunk * c.d_ff);
-    cmlp_out.resize(chunk * c.d_model);
-    cscores.resize(chunk * c.max_seq);
-    chunk_capacity = chunk;
+        hidden(c.d_model) {
+    ensure_rows(1);
   }
 
-  // One-token block scratch (residual stream, projections, MLP, attention
-  // scores), sized once so the hot loop never allocates.
-  std::vector<float> x, normed, q, k, v, attn, attn_proj, gate, up, ff, mlp_out, scores;
-  // Caller-side scratch for quantized KVCache::key()/value() reads: each
-  // reader dequantizes into its own buffer (no shared cache-side state).
-  std::vector<float> kv_key, kv_value;
+  // Grow the row buffers to hold `n` rows (no-op once sized; vectors never
+  // shrink, so alternating row counts stay allocation-free after the first
+  // pass).
+  void ensure_rows(std::size_t n) {
+    if (n <= row_capacity) return;
+    for (auto* buf : {&x, &normed, &q, &attn, &attn_proj, &mlp_out}) buf->resize(n * d_model);
+    for (auto* buf : {&k, &v}) buf->resize(n * kv_dim);
+    for (auto* buf : {&gate, &up, &ff}) buf->resize(n * d_ff);
+    seqs.resize(n);
+    row_capacity = n;
+  }
+
+  std::size_t d_model, kv_dim, d_ff;
+  // Row-major [rows, features] block scratch: one row per token of a
+  // forward pass (a prefill chunk's positions or a decode batch's lanes).
+  std::vector<float> x, normed, q, k, v, attn, attn_proj, gate, up, ff, mlp_out;
+  // Row -> cache sequence map for single-sequence chunks.
+  std::vector<std::size_t> seqs;
+  // One causal score row: each (row, head) softmax finishes before the next.
+  std::vector<float> scores;
   // Whole-prefix dequantization scratch for KVCache::key_rows()/value_rows():
-  // attention dequantizes the full K/V prefix once per layer instead of once
-  // per (head, position).
+  // attention dequantizes the full K/V prefix once per sequence per layer
+  // instead of once per (head, position).
   std::vector<float> kv_rows_k, kv_rows_v;
   // Final hidden state of the lane currently being advanced.
   std::vector<float> hidden;
-  // Reused INT8 activation codes for the fused QKV projection.
+  // Reused INT8 activation codes: act8 for one-row projections, act8_rows
+  // for multi-row ones (one quantization shared across fused Q/K/V).
   quant::ActivationInt8 act8;
-
-  // Chunked-prefill scratch: row-major [chunk, features] views of the same
-  // quantities as the one-token buffers above, sized by ensure_chunk().
-  // forward_tokens (lane-batched decode) reuses these with one row per
-  // decode lane — a decode batch of n lanes has exactly the shape of an
-  // n-token prefill chunk, so no separate buffers are needed.
-  std::vector<float> cx, cnormed, cq, ck, cv, cattn, cattn_proj, cgate, cup, cff, cmlp_out;
-  // Per-head causal score rows for one chunk: [chunk, max_seq].
-  std::vector<float> cscores;
-  // Reused INT8 activation codes for the fused chunk QKV projection.
-  quant::ActivationBatchInt8 act8_chunk;
-  std::size_t chunk_capacity = 0;
+  quant::ActivationBatchInt8 act8_rows;
+  std::size_t row_capacity = 0;
 };
 
 }  // namespace orinsim

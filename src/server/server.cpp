@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -119,6 +120,10 @@ void Server::accept_loop() {
 
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // SSE sends one small write per token: without TCP_NODELAY, Nagle holds
+    // each write until the client's delayed ACK, stretching inter-token gaps.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     std::lock_guard<std::mutex> lk(conn_mu_);
     if (live_connections_ >= config_.max_connections) {

@@ -66,8 +66,8 @@ std::vector<float> prefill_hidden(Model& model, std::span<const TokenId> prompt,
 
 TEST(ChunkedPrefillTest, BitIdenticalToTokenAtATimeUnderScalar) {
   // Every precision × both block styles × both KV storages, with a prompt
-  // length (13) that is not a multiple of the chunk (4): exercises full
-  // chunks plus the remainder chunk.
+  // length (13 ≡ 1 mod 4) that is not a multiple of the chunk (4): exercises
+  // full chunks plus a one-token remainder chunk.
   ScopedLevel scalar(simd::Level::kScalar);
   for (BlockStyle style : {BlockStyle::kPreNormSwiGLU, BlockStyle::kParallelGELU}) {
     const auto cfg = test_config(style);
@@ -103,6 +103,57 @@ TEST(ChunkedPrefillTest, BitIdenticalToTokenAtATimeUnderScalar) {
             const auto v2 = c_step.value(l, 0, p, s2);
             for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
               ASSERT_EQ(v1[i], v2[i]) << where << " value l=" << l << " p=" << p;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChunkedPrefillTest, OneTokenChunkBitIdenticalToForwardTokenAtEveryLevel) {
+  // A one-token chunk (a prefill remainder, or a chunk size of 1) runs the
+  // same one-row kernels as forward_token, so it matches bit for bit at the
+  // active kernel level, not only under scalar: hidden state and cache.
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::native_available()) levels.push_back(simd::Level::kNative);
+  for (simd::Level level : levels) {
+    ScopedLevel scoped(level);
+    for (BlockStyle style : {BlockStyle::kPreNormSwiGLU, BlockStyle::kParallelGELU}) {
+      const auto cfg = test_config(style);
+      auto master = MasterWeights::init_random(cfg, 43);
+      const auto tokens = make_prompt(6, cfg.vocab);
+      for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
+        for (KVStorage kv : {KVStorage::kF32, KVStorage::kI8}) {
+          Model model(master, dtype, kv);
+          KVCache c_chunk(cfg, 1, 16, kv), c_token(cfg, 1, 16, kv);
+          InferenceWorkspace ws(cfg);
+          std::vector<float> h_chunk(cfg.d_model), h_token(cfg.d_model);
+          const std::string where = cfg.name + " " + simd::level_name(level) + " " +
+                                    dtype_name(dtype) +
+                                    " kv=" + std::to_string(static_cast<int>(kv));
+          for (std::size_t i = 0; i < tokens.size(); ++i) {
+            model.forward_chunk(std::span<const TokenId>(&tokens[i], 1), 0, c_chunk, h_chunk,
+                                ws);
+            model.forward_token(tokens[i], 0, c_token, h_token);
+            for (std::size_t j = 0; j < cfg.d_model; ++j) {
+              ASSERT_EQ(h_chunk[j], h_token[j]) << where << " hidden pos=" << i << " j=" << j;
+            }
+          }
+          ASSERT_EQ(c_chunk.seq_len(0), tokens.size());
+          std::vector<float> s1(cfg.kv_dim()), s2(cfg.kv_dim());
+          for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+            for (std::size_t p = 0; p < tokens.size(); ++p) {
+              const auto k1 = c_chunk.key(l, 0, p, s1);
+              const auto k2 = c_token.key(l, 0, p, s2);
+              for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+                ASSERT_EQ(k1[i], k2[i]) << where << " key l=" << l << " p=" << p;
+              }
+              const auto v1 = c_chunk.value(l, 0, p, s1);
+              const auto v2 = c_token.value(l, 0, p, s2);
+              for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+                ASSERT_EQ(v1[i], v2[i]) << where << " value l=" << l << " p=" << p;
+              }
             }
           }
         }

@@ -1,12 +1,13 @@
-// Lane-batched decode: Model::forward_tokens and the batched generate path
-// must be bit-identical to the per-lane forward_token loop (the seed path)
-// for kF32/kI8/kI4 weights, composition-independent for every dtype, and
+// Lane-batched decode: Model::forward_tokens and generate() (which decodes
+// through it) must be bit-identical to a per-lane forward_token loop for
+// kF32/kI8/kI4 weights, composition-independent for every dtype, and
 // invariant under serial-vs-pooled group sharding. These are the contracts
 // that let generate() batch whichever lanes are active without changing any
 // lane's tokens.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -57,16 +58,36 @@ std::vector<std::vector<TokenId>> five_prompts() {
           {1, 90, 13, 60, 31, 18}};
 }
 
-Model::GenerateResult run_generate(Model& model, bool lane_batched,
-                                   std::size_t workers = 0) {
+Model::GenerateResult run_generate(Model& model, std::size_t workers = 0) {
   Model::GenerateOptions options;
-  options.lane_batched_decode = lane_batched;
   std::unique_ptr<ThreadPool> pool;
   if (workers > 0) {
     pool = std::make_unique<ThreadPool>(workers);
     options.pool = pool.get();
   }
   return model.generate(five_prompts(), 12, options);
+}
+
+// Greedy decode of five_prompts() through a per-lane forward_token loop: the
+// reference generate()'s batched decode must reproduce. No lane reaches
+// generate()'s cache limit within 12 new tokens, so every lane emits all 12.
+std::vector<std::vector<TokenId>> run_looped(Model& model) {
+  const auto prompts = five_prompts();
+  const std::size_t new_tokens = 12;
+  const TransformerConfig& cfg = model.config();
+  KVCache cache(cfg, prompts.size(), cfg.max_seq, model.kv_options());
+  std::vector<std::vector<TokenId>> outputs(prompts.size());
+  std::vector<float> hidden(cfg.d_model), logits(cfg.vocab);
+  for (std::size_t b = 0; b < prompts.size(); ++b) {
+    model.prefill(prompts[b], b, cache, hidden);
+    for (std::size_t step = 0; step < new_tokens; ++step) {
+      model.logits_from_hidden(hidden, logits);
+      const auto next = static_cast<TokenId>(kernels::argmax(logits));
+      outputs[b].push_back(next);
+      if (step + 1 < new_tokens) model.forward_token(next, b, cache, hidden);
+    }
+  }
+  return outputs;
 }
 
 // forward_tokens vs a forward_token loop, directly: hidden states AND the
@@ -174,8 +195,82 @@ TEST(LaneBatchedDecodeTest, ForwardTokensMatchesLoopF16) {
   }
 }
 
-// The full generate path: lane-batched decode must reproduce the per-lane
-// loop's outputs token for token.
+// Composition independence, directly: lane 2 decoded alone (a one-lane
+// forward_tokens call) and inside a four-lane batch must agree bit for bit,
+// hidden state and cache, for every dtype at every level. A one-lane batch
+// still runs the lanes kernels; fp16 at kNative would differ if it fell back
+// to the one-row matvec.
+TEST(LaneBatchedDecodeTest, ForwardTokensCompositionIndependentAllDtypes) {
+  const auto cfg = decode_test_config();
+  auto master = MasterWeights::init_random(cfg, 67);
+  const std::size_t lanes = 4, lane = 2;
+  const std::vector<std::vector<TokenId>> prompts = {{3, 9, 27}, {81, 12}, {5, 6, 7, 8}, {44}};
+  const std::vector<std::size_t> seqs = {0, 1, 2, 3};
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
+      for (KVStorage kv : {KVStorage::kF32, KVStorage::kI8}) {
+        Model model(master, dtype, kv);
+        KVCache batch_cache(cfg, lanes, cfg.max_seq, kv), alone_cache(cfg, lanes, cfg.max_seq, kv);
+        std::vector<float> hidden(cfg.d_model);
+        for (std::size_t b = 0; b < lanes; ++b) {
+          for (TokenId tok : prompts[b]) {
+            model.forward_token(tok, b, batch_cache, hidden);
+            model.forward_token(tok, b, alone_cache, hidden);
+          }
+        }
+        InferenceWorkspace ws(cfg);
+        std::vector<float> batch_rows(lanes * cfg.d_model), alone_row(cfg.d_model);
+        const std::string where = std::string(simd::level_name(level)) + " " +
+                                  dtype_name(dtype) + " kv=" +
+                                  std::to_string(static_cast<int>(kv));
+        for (TokenId step : {10, 20, 30}) {
+          const std::vector<TokenId> tokens(lanes, step);
+          model.forward_tokens(tokens, seqs, batch_cache, batch_rows, ws);
+          model.forward_tokens(std::span<const TokenId>(&tokens[lane], 1),
+                               std::span<const std::size_t>(&seqs[lane], 1), alone_cache,
+                               alone_row, ws);
+          for (std::size_t i = 0; i < cfg.d_model; ++i) {
+            ASSERT_EQ(batch_rows[lane * cfg.d_model + i], alone_row[i])
+                << where << " step=" << step << " i=" << i;
+          }
+        }
+        const std::size_t len = batch_cache.seq_len(lane);
+        ASSERT_EQ(alone_cache.seq_len(lane), len);
+        std::vector<float> s1(cfg.kv_dim()), s2(cfg.kv_dim());
+        for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+          for (std::size_t p = 0; p < len; ++p) {
+            const auto k1 = batch_cache.key(l, lane, p, s1);
+            const auto k2 = alone_cache.key(l, lane, p, s2);
+            const auto v1 = batch_cache.value(l, lane, p, s1);
+            const auto v2 = alone_cache.value(l, lane, p, s2);
+            for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+              ASSERT_EQ(k1[i], k2[i]) << where << " key l=" << l << " p=" << p;
+              ASSERT_EQ(v1[i], v2[i]) << where << " value l=" << l << " p=" << p;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// forward_tokens writes every lane's hidden state: a [d_model] or empty span
+// (accepted by forward_chunk) would drop lanes, so it is rejected.
+TEST(LaneBatchedDecodeTest, ForwardTokensRequiresEveryLaneRow) {
+  const auto cfg = decode_test_config();
+  Model model(MasterWeights::init_random(cfg, 61), DType::kF32);
+  KVCache cache(cfg, 2, cfg.max_seq);
+  InferenceWorkspace ws(cfg);
+  const std::vector<TokenId> tokens = {1, 2};
+  const std::vector<std::size_t> seqs = {0, 1};
+  std::vector<float> last_row(cfg.d_model);
+  EXPECT_THROW(model.forward_tokens(tokens, seqs, cache, last_row, ws), ContractViolation);
+  EXPECT_THROW(model.forward_tokens(tokens, seqs, cache, {}, ws), ContractViolation);
+}
+
+// The full generate path: its lane-batched decode must reproduce the
+// per-lane forward_token loop's outputs token for token.
 TEST(LaneBatchedDecodeTest, GenerateBatchedMatchesLoopedAllDtypes) {
   const auto cfg = decode_test_config();
   struct Case {
@@ -190,9 +285,7 @@ TEST(LaneBatchedDecodeTest, GenerateBatchedMatchesLoopedAllDtypes) {
     Model model(master, c.dtype, c.kv);
     for (simd::Level level : levels_to_test()) {
       ScopedLevel scoped(level);
-      const auto looped = run_generate(model, false);
-      const auto batched = run_generate(model, true);
-      EXPECT_EQ(batched.outputs, looped.outputs)
+      EXPECT_EQ(run_generate(model).outputs, run_looped(model))
           << dtype_name(c.dtype) << " @ " << simd::level_name(level);
     }
   }
@@ -203,23 +296,27 @@ TEST(LaneBatchedDecodeTest, GenerateBatchedMatchesLoopedF16Scalar) {
   const auto cfg = decode_test_config();
   auto master = MasterWeights::init_random(cfg, 71);
   Model model(master, DType::kF16, KVStorage::kF32);
-  const auto looped = run_generate(model, false);
-  const auto batched = run_generate(model, true);
-  EXPECT_EQ(batched.outputs, looped.outputs);
+  EXPECT_EQ(run_generate(model).outputs, run_looped(model));
 }
 
 // Composition independence at the generate level: pooled batched decode
 // shards active lanes into contiguous groups whose sizes depend on the
 // worker count; outputs must not.
+// fp16 runs at the active level: its native lanes kernel differs from the
+// one-row matvec, and 8 workers over 5 lanes puts every lane in a group of
+// one.
 TEST(LaneBatchedDecodeTest, BatchedSerialVsPooledBitIdentical) {
   const auto cfg = decode_test_config();
   auto master = MasterWeights::init_random(cfg, 73);
-  Model model(master, DType::kI4, KVStorage::kI8);
-  const auto serial = run_generate(model, true, 0);
-  ASSERT_EQ(serial.outputs.size(), 5u);
-  for (std::size_t workers : {1u, 2u, 3u, 8u}) {
-    const auto pooled = run_generate(model, true, workers);
-    EXPECT_EQ(pooled.outputs, serial.outputs) << "workers=" << workers;
+  for (DType dtype : {DType::kI4, DType::kF16}) {
+    Model model(master, dtype, dtype == DType::kI4 ? KVStorage::kI8 : KVStorage::kF32);
+    const auto serial = run_generate(model, 0);
+    ASSERT_EQ(serial.outputs.size(), 5u);
+    for (std::size_t workers : {1u, 2u, 3u, 8u}) {
+      const auto pooled = run_generate(model, workers);
+      EXPECT_EQ(pooled.outputs, serial.outputs)
+          << dtype_name(dtype) << " workers=" << workers;
+    }
   }
 }
 

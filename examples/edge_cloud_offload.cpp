@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
 
   SimSession session(model, DType::kF16, workload::Dataset::kWikiText2);
   HybridConfig config;
-  config.scheduler.max_batch = 32;
-  config.scheduler.arrivals.rate_rps = rps;
-  config.scheduler.arrivals.total_requests = requests;
+  config.max_batch = 32;
+  config.arrivals.rate_rps = rps;
+  config.arrivals.total_requests = requests;
   config.queue_threshold =
       static_cast<std::size_t>(args.get_int("queue-threshold", 32));
   config.latency_slo_s = args.get_double("slo-s", 30.0);

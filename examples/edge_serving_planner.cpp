@@ -39,8 +39,6 @@
 #include "core/stats.h"
 #include "core/table.h"
 #include "core/units.h"
-#include "serving/batch_scheduler.h"
-#include "serving/continuous_batching.h"
 #include "serving/engine.h"
 #include "serving/serving_device.h"
 #include "tensor/simd.h"
@@ -54,25 +52,26 @@ namespace {
 int plan_static(const std::string& model, DType dtype, double rps, double slo_s,
                 std::size_t requests) {
   SimSession session(model, dtype, workload::Dataset::kWikiText2);
+  const workload::SeqConfig seq = workload::seq_config_default();
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = rps;
+  arrivals.total_requests = requests;
+  const std::vector<double> arrival_s = arrivals.generate();
   Table table({"max batch", "batches", "mean occupancy", "p95 latency (s)",
                "achieved req/s", "energy/request (J)", "meets SLO"});
   std::size_t best_batch = 0;
   double best_energy = 1e99;
   for (std::size_t max_batch : {1, 2, 4, 8, 16, 32, 64}) {
-    SchedulerConfig config;
-    config.max_batch = max_batch;
-    config.arrivals.rate_rps = rps;
-    config.arrivals.total_requests = requests;
-    const ScheduleResult r = simulate_serving(session, config);
-    const double energy_per_req =
-        r.total_energy_j / static_cast<double>(r.requests.size());
+    const EngineResult r = StaticBatchPolicy(session, max_batch, seq)
+                               .run(requests_from_arrivals(arrival_s, seq));
+    const double energy_per_req = r.energy_j / static_cast<double>(r.requests.size());
     const bool meets = r.p95_latency_s() <= slo_s;
     table.new_row()
         .add_cell(std::to_string(max_batch))
-        .add_cell(std::to_string(r.batches_run))
-        .add_number(r.mean_batch_occupancy, 1)
+        .add_cell(std::to_string(r.decode_steps))
+        .add_number(r.timeline.mean_batch(trace::Phase::kDecode), 1)
         .add_number(r.p95_latency_s(), 1)
-        .add_number(r.achieved_rps(), 2)
+        .add_number(static_cast<double>(r.latencies_s.size()) / r.makespan_s, 2)
         .add_number(energy_per_req, 0)
         .add_cell(meets ? "yes" : "no");
     if (meets && energy_per_req < best_energy) {
@@ -126,20 +125,11 @@ int plan_continuous(const std::string& model, DType dtype, double rps, double sl
     dc.max_concurrency = cap;
     dc.seq = seq;
     dc.governor.power_cap_w = power_cap_w;  // 0 leaves the governor off
-    ServingDevice device(dc);
     workload::ArrivalConfig arrivals;
     arrivals.rate_rps = rps;
     arrivals.total_requests = requests;
-    std::vector<Request> stream;
-    for (double t : arrivals.generate()) {
-      Request rq;
-      rq.id = stream.size();
-      rq.arrival_s = t;
-      rq.prompt_tokens = seq.input;
-      rq.max_new_tokens = seq.output;
-      stream.push_back(rq);
-    }
-    const EngineResult r = device.run(std::move(stream));
+    const EngineResult r =
+        ServingDevice(dc).run(requests_from_arrivals(arrivals.generate(), seq));
     // Energy columns come from per-request attribution off the event stream
     // (their sum conserves the timeline total by construction).
     const double energy_per_req = r.energy_per_request_j();

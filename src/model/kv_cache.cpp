@@ -139,25 +139,6 @@ void KVCache::store_quantized(std::vector<std::int8_t>& codes, std::vector<float
   }
 }
 
-std::size_t KVCache::append(std::size_t layer, std::size_t b, std::span<const float> k,
-                            std::span<const float> v) {
-  ORINSIM_CHECK(layer < n_layers_ && b < batch_, "KVCache::append out of range");
-  ORINSIM_CHECK(k.size() == kv_dim_ && v.size() == kv_dim_, "KVCache::append dim mismatch");
-  const std::size_t pos = lengths_[b];
-  ORINSIM_CHECK(pos < max_seq_, "KVCache overflow: sequence exceeds max_seq");
-  ensure_writable(b, pos, 1);
-  const std::size_t r = row(b, pos);
-  if (storage_ == KVStorage::kF32) {
-    std::copy(k.begin(), k.end(), keys_[layer].begin() + r * kv_dim_);
-    std::copy(v.begin(), v.end(), values_[layer].begin() + r * kv_dim_);
-  } else {
-    store_quantized(key_codes_[layer], key_scales_[layer], r, k);
-    store_quantized(value_codes_[layer], value_scales_[layer], r, v);
-  }
-  staged_[b] = std::max<std::size_t>(staged_[b], 1);
-  return pos;
-}
-
 std::size_t KVCache::append_many(std::size_t layer, std::size_t b, std::span<const float> k,
                                  std::span<const float> v, std::size_t count) {
   ORINSIM_CHECK(layer < n_layers_ && b < batch_, "KVCache::append_many out of range");

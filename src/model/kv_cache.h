@@ -68,22 +68,18 @@ class KVCache {
   std::size_t kv_dim() const noexcept { return kv_dim_; }
   std::size_t seq_len(std::size_t b) const { return lengths_.at(b); }
 
-  // Appends one position worth of K/V for sequence b in layer l; returns the
-  // position it was stored at. Paged layout allocates the backing block on
-  // demand and throws ContractViolation when the pool is exhausted — callers
-  // that must not throw reserve ahead with try_reserve().
-  std::size_t append(std::size_t layer, std::size_t b, std::span<const float> k,
-                     std::span<const float> v);
-
   // Stages `count` consecutive positions of K/V for sequence b in layer l:
   // k and v are row-major [count, kv_dim] and land at positions
   // seq_len(b) .. seq_len(b)+count-1. Chunked prefill appends a whole chunk
-  // per layer, then commits once. Returns the first position written.
+  // per layer, then commits once. Returns the first position written. Paged
+  // layout allocates backing blocks on demand and throws ContractViolation
+  // when the pool is exhausted — callers that must not throw reserve ahead
+  // with try_reserve().
   std::size_t append_many(std::size_t layer, std::size_t b, std::span<const float> k,
                           std::span<const float> v, std::size_t count);
 
   // Advance the per-sequence length by `count` after all layers appended.
-  // (append()/append_many() write at the *current* length; commit() bumps it.)
+  // (append_many() writes at the *current* length; commit() bumps it.)
   void commit(std::size_t b, std::size_t count = 1);
 
   // Roll sequence b back to new_len tokens (speculative-decoding rejection:
@@ -150,7 +146,7 @@ class KVCache {
   std::size_t cached_blocks() const noexcept;
 
   // K/V vectors for sequence b, position p, layer l. pos == seq_len(b) reads
-  // the entry staged by append() before commit() (each layer reads its own
+  // the entry staged by append_many() before commit() (each layer reads its own
   // staged K/V for the token currently being processed).
   //
   // FP32 storage returns a span into the cache itself and ignores `scratch`.
@@ -241,7 +237,7 @@ class KVCache {
   std::vector<std::vector<float>> value_scales_;  // [layer][rows]
 
   // Highest readable position for sequence b: committed length plus any
-  // entries staged by append()/append_many() but not yet committed.
+  // entries staged by append_many() but not yet committed.
   std::size_t staged_end(std::size_t b) const {
     return lengths_[b] + std::max<std::size_t>(staged_[b], 1) - 1;
   }

@@ -27,7 +27,19 @@ void annotate_kv(trace::ExecutionTimeline& timeline, std::size_t event_id,
   }
 }
 
-// Shared tail: every policy's result is read off the event stream.
+// Per-run speculation counters: the sum of the requests' per-round stats.
+SpeculationStats speculation_total(const std::vector<Request>& requests) {
+  SpeculationStats s;
+  for (const Request& r : requests) {
+    s.rounds += r.spec.rounds;
+    s.proposed += r.spec.proposed;
+    s.accepted += r.spec.accepted;
+    s.emitted += r.spec.emitted;
+  }
+  return s;
+}
+
+// Shared tail: every schedule's result is read off the event stream.
 void finalize(EngineResult& result, std::vector<Request> requests,
               const TokenBackend* backend) {
   const trace::ExecutionTimeline& timeline = result.timeline;
@@ -41,13 +53,8 @@ void finalize(EngineResult& result, std::vector<Request> requests,
   result.decode_steps =
       timeline.count(trace::Phase::kDecode) + timeline.count(trace::Phase::kVerify);
   result.total_tokens = 0;
-  for (const Request& r : requests) {
-    result.total_tokens += r.prompt_tokens + r.generated;
-    result.speculation.rounds += r.spec.rounds;
-    result.speculation.proposed += r.spec.proposed;
-    result.speculation.accepted += r.spec.accepted;
-    result.speculation.emitted += r.spec.emitted;
-  }
+  for (const Request& r : requests) result.total_tokens += r.prompt_tokens + r.generated;
+  result.speculation = speculation_total(requests);
   result.mean_kv_utilization = timeline.mean_kv_utilization();
   result.peak_kv_blocks = timeline.peak_kv_blocks();
   if (backend != nullptr) {
@@ -96,8 +103,8 @@ void finalize(EngineResult& result, std::vector<Request> requests,
   result.requests = std::move(requests);
 }
 
-// Runs the board power cap and the thermal RC loop over the policy's step
-// stream; owned by one ContinuousPolicy::run call. Monotone descent: modes
+// Runs the board power cap and the thermal RC loop over the engine's step
+// stream; owned by one ContinuousEngine. Monotone descent: modes
 // only step down within a run (no re-promotion chatter), admissions resume
 // as soon as the violation clears.
 class PowerGovernor {
@@ -211,10 +218,10 @@ double EngineResult::energy_per_token_j() const {
 // ContinuousEngine
 // ---------------------------------------------------------------------------
 
-// The steppable continuous scheduler. One Impl instance owns the loop state
-// the old run-to-completion implementation kept on its stack; step() is one
-// iteration of that loop, byte-identical in offline mode (the existing
-// legacy-parity and trace-byte-identity tests pin this).
+// The steppable continuous scheduler. One Impl instance owns the loop state;
+// step() is one iteration of the loop run() drives to completion, so the
+// offline and served paths execute the same body (the trace-byte-identity
+// tests pin this).
 struct ContinuousEngine::Impl {
   Impl(TokenBackend& backend_in, GovernorConfig governor_config, bool real_time_in)
       : backend(backend_in),
@@ -523,15 +530,8 @@ const trace::ExecutionTimeline& ContinuousEngine::timeline() const {
   return impl_->result.timeline;
 }
 
-EngineResult::SpeculationSummary ContinuousEngine::speculation() const {
-  EngineResult::SpeculationSummary s;
-  for (const Request& r : impl_->requests) {
-    s.rounds += r.spec.rounds;
-    s.proposed += r.spec.proposed;
-    s.accepted += r.spec.accepted;
-    s.emitted += r.spec.emitted;
-  }
-  return s;
+SpeculationStats ContinuousEngine::speculation() const {
+  return speculation_total(impl_->requests);
 }
 
 void ContinuousEngine::set_device_id(std::size_t id) {
@@ -551,18 +551,12 @@ EngineResult ContinuousEngine::finish() {
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// ContinuousPolicy
-// ---------------------------------------------------------------------------
-
-EngineResult ContinuousPolicy::run(std::vector<Request> requests) {
-  ORINSIM_CHECK(!requests.empty() && backend_.max_lanes() > 0,
-                "engine: degenerate continuous run");
-  ContinuousEngine engine(backend_, governor_);
-  for (Request& r : requests) engine.submit(std::move(r));
-  while (engine.step() == ContinuousEngine::Step::kWorked) {
+EngineResult ContinuousEngine::run(std::vector<Request> requests) {
+  ORINSIM_CHECK(!requests.empty(), "engine: run with no requests");
+  for (Request& r : requests) submit(std::move(r));
+  while (step() == Step::kWorked) {
   }
-  return engine.finish();
+  return finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -778,7 +772,6 @@ StepCost SimTokenBackend::speculative_decode_step(const std::vector<Request*>& a
     // rounds that stopped short of the bonus token.
     r->spec.proposed += (n - 1) + (n - 1 < k ? 1 : 0);
     r->spec.emitted += n;
-    r->spec.target_forwards += k + 1;
   }
 
   auto scaled = [](const trace::StepBreakdown& b, double s) {
@@ -1183,7 +1176,6 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
     r->spec.accepted += m;
     r->spec.proposed += m + (m < k ? 1 : 0);
     r->spec.emitted += m + 1;
-    r->spec.target_forwards += k + 1;
   }
   const double verify_s = verify_watch.elapsed_s();
 
@@ -1322,8 +1314,7 @@ EngineResult run_functional_continuous(std::shared_ptr<const MasterWeights> mast
   bc.speculation = config.speculation;
   FunctionalTokenBackend backend(model, bc, decode_pool.get(), draft.get());
 
-  ContinuousPolicy policy(backend, config.governor);
-  return policy.run(std::move(requests));
+  return ContinuousEngine(backend, config.governor).run(std::move(requests));
 }
 
 }  // namespace orinsim::serving

@@ -1,24 +1,24 @@
 // The unified request-lifecycle serving engine.
 //
-// One scheduler spine runs every serving experiment in the repo:
+// One engine runs every serving experiment in the repo:
 //
-//   RequestScheduler (policy)          TokenBackend (execution)
-//   ------------------------          -------------------------
-//   StaticBatchPolicy                  (drives an InferenceBackend directly)
-//   ContinuousPolicy          x        SimTokenBackend     (roofline + power)
+//   Scheduler                          Execution
+//   ---------                          ---------
+//   StaticBatchPolicy                  InferenceBackend (whole batches)
+//   ContinuousEngine          x        SimTokenBackend     (roofline + power)
 //                                      FunctionalTokenBackend (real decode
 //                                                         over a paged KVCache)
 //
-// Policies own the clock and the queue: they admit requests, charge step
-// costs into a trace::ExecutionTimeline (StepEvents plus per-request
-// admit/preempt/retire RequestEvents), and preempt on KV block exhaustion.
+// The scheduler owns the clock and the queue: it admits requests, charges
+// step costs into a trace::ExecutionTimeline (StepEvents plus per-request
+// admit/preempt/retire RequestEvents), and preempts on KV block exhaustion.
 // Backends own the work: claim KV capacity, run/charge a prefill wave or a
 // decode step, release capacity. Every metric the engine reports — latency
 // percentiles, makespan, energy, occupancy, KV-block utilization — is read
 // off the one event stream, never accumulated on the side.
 //
 // Preemption contract: when a running request cannot extend its KV
-// allocation by one token, the policy evicts the *youngest* active request
+// allocation by one token, the engine evicts the *youngest* active request
 // (releasing all its blocks) and re-queues it at the front of the waiting
 // queue. Eviction repeats until the survivors fit; a request that cannot
 // run alone is a configuration error (throws). Preempted requests resume by
@@ -48,7 +48,7 @@
 namespace orinsim::serving {
 
 // Cost of one engine step (a prefill wave or a decode step), as reported by
-// the backend and charged into the timeline by the policy. Simulated
+// the backend and charged into the timeline by the engine. Simulated
 // backends fill power/breakdown; the functional backend measures wall-clock
 // and leaves power unset (no board sensor on this host).
 struct StepCost {
@@ -61,7 +61,7 @@ struct StepCost {
   // (the default) keeps the legacy single-event emission, so every existing
   // backend's traces stay byte-identical. A speculative decode step returns
   // one kDraft and one kVerify sub-step instead of a kDecode event; the
-  // policy emits them in order, each with its own participants.
+  // engine emits them in order, each with its own participants.
   struct SubStep {
     trace::Phase phase = trace::Phase::kDecode;
     double seconds = 0.0;
@@ -116,7 +116,7 @@ class TokenBackend {
   virtual StepCost prefill(const std::vector<Request*>& admitted,
                            std::size_t active_after) = 0;
   // Reserves KV room for one more token. Idempotent until the token is
-  // produced; false is the policy's preemption trigger.
+  // produced; false is the engine's preemption trigger.
   virtual bool try_extend(Request& req) = 0;
   // Runs/charges one decode step over the active set, appending one token to
   // every request (callers guarantee try_extend succeeded for each).
@@ -140,7 +140,7 @@ class TokenBackend {
   // 0 when the backend attaches no power.
   virtual double idle_power_w() const { return 0.0; }
 
-  // Cross-request prefix cache, when the backend runs one: the policy gates
+  // Cross-request prefix cache, when the backend runs one: the engine gates
   // hit/miss/insert/evict timeline emission on prefix_cache_enabled() so
   // cache-free runs keep byte-identical traces, and delta-snapshots the
   // stats around backend calls to attribute insertions and evictions.
@@ -152,13 +152,13 @@ class TokenBackend {
   virtual bool speculation_enabled() const { return false; }
 };
 
-// Power/thermal governor for ContinuousPolicy. Observes every powered step
-// the policy emits; when the board power cap is exceeded or the thermal RC
+// Power/thermal governor for ContinuousEngine. Observes every powered step
+// the engine emits; when the board power cap is exceeded or the thermal RC
 // loop crosses the throttle threshold, it steps the backend's power mode
 // down `ladder` (Table 2's GPU-frequency descent by default) and, once the
 // ladder floor is reached, defers new admissions until the violation clears.
 // Every action lands in the timeline as a GovernorEvent. Default-constructed
-// config = governor off: the policy's schedule and trace are untouched.
+// config = governor off: the engine's schedule and trace are untouched.
 struct GovernorConfig {
   double power_cap_w = 0.0;     // board power cap; 0 disables the cap
   bool thermal_enabled = false; // run the RC loop over step timestamps
@@ -206,27 +206,10 @@ struct EngineResult {
   PrefixCacheSummary prefix_cache;
 
   // Speculative draft/verify behaviour, summed over the requests' per-round
-  // counters (all zero when the backend ran no speculation). decode_steps
-  // counts kDecode + kVerify events, so a speculative run's step count stays
-  // comparable to its plain counterpart (one target pass per step either
-  // way).
-  struct SpeculationSummary {
-    std::size_t rounds = 0;
-    std::size_t proposed = 0;  // draft tokens the target compared
-    std::size_t accepted = 0;
-    std::size_t emitted = 0;   // tokens retired by speculative rounds
-
-    double acceptance_rate() const {
-      return proposed > 0
-                 ? static_cast<double>(accepted) / static_cast<double>(proposed)
-                 : 0.0;
-    }
-    double tokens_per_round() const {
-      return rounds > 0 ? static_cast<double>(emitted) / static_cast<double>(rounds)
-                        : 0.0;
-    }
-  };
-  SpeculationSummary speculation;
+  // counters. decode_steps counts kDecode + kVerify events, so a speculative
+  // run's step count stays comparable to its plain counterpart (one target
+  // pass per step either way).
+  SpeculationStats speculation;
 
   // Per-request energy attribution, indexed by request id. Sums to energy_j
   // (the conservation invariant, pinned by test): every powered step's
@@ -246,15 +229,6 @@ struct EngineResult {
   double energy_per_token_j() const;
 };
 
-// A scheduling policy: consumes the request list (arrivals pre-filled) and
-// produces the executed schedule.
-class RequestScheduler {
- public:
-  virtual ~RequestScheduler() = default;
-  virtual EngineResult run(std::vector<Request> requests) = 0;
-  virtual std::string policy_name() const = 0;
-};
-
 // Per-request streaming hooks, fired by ContinuousEngine as the backend
 // produces tokens. on_token fires once per *newly generated* token in
 // generation order (a preempted request's recompute replays silently — the
@@ -271,10 +245,10 @@ struct StreamCallbacks {
 // The continuous scheduler as an incrementally-steppable object: submit
 // requests at any time, advance the schedule one engine iteration per
 // step(), poll request state, stream tokens through StreamCallbacks, drain
-// for graceful shutdown. ContinuousPolicy::run is exactly submit-all +
-// step-until-idle + finish, so the offline path and the serving daemon
-// execute the same loop body (one source of truth for admission, preemption
-// and retirement semantics).
+// for graceful shutdown. run() is exactly submit-all + step-until-idle +
+// finish, so the offline path and the serving daemon execute the same loop
+// body (one source of truth for admission, preemption and retirement
+// semantics).
 //
 // Not thread-safe: every method must be called from one thread (the server
 // wraps it in server::EngineHost, which owns that thread). Two clocks:
@@ -341,7 +315,7 @@ class ContinuousEngine {
   // Live speculative-decoding counters (sum over submitted requests; all
   // zero when the backend runs no speculation). The serving daemon's
   // /metrics reads this without waiting for finish().
-  EngineResult::SpeculationSummary speculation() const;
+  SpeculationStats speculation() const;
 
   // Fleet integration. set_device_id tags the engine's timeline (and thus
   // every exported event) with the owning device; single-device callers
@@ -355,38 +329,27 @@ class ContinuousEngine {
   // idle() with no pending arrivals (everything submitted has retired).
   EngineResult finish();
 
+  // Offline one-call run: submit every request (arrivals pre-filled, non-
+  // decreasing), step until idle, finish. Throws on an empty list.
+  EngineResult run(std::vector<Request> requests);
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-// Token-level admit/retire scheduling (Orca/vLLM style) over any
-// TokenBackend, with preemption on KV block exhaustion. Reproduces
-// simulate_continuous exactly when the backend never runs out of blocks.
-class ContinuousPolicy : public RequestScheduler {
- public:
-  explicit ContinuousPolicy(TokenBackend& backend, GovernorConfig governor = {})
-      : backend_(backend), governor_(std::move(governor)) {}
-
-  EngineResult run(std::vector<Request> requests) override;
-  std::string policy_name() const override { return "continuous"; }
-
- private:
-  TokenBackend& backend_;
-  GovernorConfig governor_;
-};
-
 // The paper's static batching: wait for arrivals, take up to max_batch, run
-// the whole batch to completion through an InferenceBackend, repeat.
-// Identical schedule to simulate_serving (which now adapts onto this).
-class StaticBatchPolicy : public RequestScheduler {
+// the whole batch to completion through an InferenceBackend, repeat. Each
+// batch is one kDecode event (kStall for idle gaps), so the batch count is
+// decode_steps and the mean occupancy is timeline.mean_batch(kDecode).
+// Throws if a batch OOMs on the device or arrivals decrease.
+class StaticBatchPolicy {
  public:
   StaticBatchPolicy(InferenceBackend& backend, std::size_t max_batch,
                     workload::SeqConfig seq)
       : backend_(backend), max_batch_(max_batch), seq_(seq) {}
 
-  EngineResult run(std::vector<Request> requests) override;
-  std::string policy_name() const override { return "static"; }
+  EngineResult run(std::vector<Request> requests);
 
  private:
   InferenceBackend& backend_;
@@ -413,7 +376,7 @@ class SimTokenBackend : public TokenBackend {
     // specs so each device yields its own roofline-consistent step costs.
     sim::DeviceSpec device = sim::orin_agx_64gb();
     // Block pool. 0 blocks = capacity for max_concurrency full sequences
-    // (never exhausts, exact simulate_continuous behaviour).
+    // (never exhausts; events carry no kv_blocks annotation).
     std::size_t kv_blocks = 0;
     std::size_t block_tokens = kDefaultKVBlockTokens;
     // Speculative decoding: each decode step becomes one draft/verify round
@@ -487,7 +450,7 @@ class FunctionalTokenBackend : public TokenBackend {
     // attach the longest cached prefix of their prompt and prefill only the
     // suffix; retirements insert their prompt's full-block prefix; allocator
     // exhaustion evicts cached-but-unreferenced blocks LRU-first, before the
-    // policy preempts anything. Matches are trimmed to lcm(block_tokens,
+    // engine preempts anything. Matches are trimmed to lcm(block_tokens,
     // prefill_chunk) and capped at prompt-1 tokens, so greedy outputs stay
     // bit-identical to a cache-free run (pinned by test). Off by default:
     // the engine's schedule and traces are untouched.
@@ -534,7 +497,7 @@ class FunctionalTokenBackend : public TokenBackend {
  private:
   // try_reserve with the cache's exhaustion hook: cached-but-unreferenced
   // blocks are reclaimed (LRU leaves first) before failure is reported, so
-  // the policy only preempts once the cache has nothing left to give.
+  // the engine only preempts once the cache has nothing left to give.
   bool reserve_with_evict(std::size_t lane, std::size_t tokens);
   template <typename Fn>
   void for_each(const std::vector<Request*>& reqs, const Fn& fn);
@@ -569,7 +532,7 @@ class FunctionalTokenBackend : public TokenBackend {
 };
 
 // One-call functional continuous-batching run: builds requests from the
-// arrival model and prompt pool, runs ContinuousPolicy over a
+// arrival model and prompt pool, runs ContinuousEngine over a
 // FunctionalTokenBackend, returns the executed schedule. This is the
 // "dedicated inference engine" counterpart the paper's conclusion points
 // to, measured on the real engine rather than the roofline model.
@@ -586,7 +549,7 @@ struct FunctionalEngineConfig {
   // a paper-scale model ("llama3") to attach modeled power to the measured
   // schedule; empty leaves power unset (legacy behaviour).
   std::string power_proxy_model;
-  // Governor over the continuous policy (off by default).
+  // Governor over the continuous engine (off by default).
   GovernorConfig governor;
   // Cross-request prefix cache over the paged pool (off by default).
   bool prefix_cache = false;

@@ -43,25 +43,26 @@ double HybridResult::p95_latency_s() const {
 }
 
 HybridResult simulate_hybrid(InferenceBackend& backend, const HybridConfig& config) {
-  const SchedulerConfig& sc = config.scheduler;
-  ORINSIM_CHECK(sc.arrivals.total_requests > 0 && sc.max_batch > 0 &&
-                    sc.arrivals.rate_rps > 0,
+  const workload::SeqConfig& seq = config.seq;
+  const std::size_t max_batch = config.max_batch;
+  const std::size_t total = config.arrivals.total_requests;
+  ORINSIM_CHECK(total > 0 && max_batch > 0 && config.arrivals.rate_rps > 0,
                 "hybrid: degenerate scheduler config");
 
-  const std::vector<double> arrivals = sc.arrivals.generate();
+  const std::vector<double> arrivals = config.arrivals.generate();
 
   HybridResult result;
   trace::ExecutionTimeline& timeline = result.timeline;
   for (double arrival : arrivals) timeline.begin_request(arrival);
 
   // Cached edge batch costs by occupancy.
-  std::vector<double> latency_by_bs(sc.max_batch + 1, -1.0);
-  std::vector<double> energy_by_bs(sc.max_batch + 1, 0.0);
+  std::vector<double> latency_by_bs(max_batch + 1, -1.0);
+  std::vector<double> energy_by_bs(max_batch + 1, 0.0);
   auto edge_batch = [&](std::size_t bs) {
     if (latency_by_bs[bs] < 0.0) {
       BatchRequest br;
       br.batch = bs;
-      br.seq = sc.seq;
+      br.seq = seq;
       const BatchResult r = backend.execute(br);
       ORINSIM_CHECK(!r.oom, "hybrid: edge batch config OOMs");
       latency_by_bs[bs] = r.latency_s;
@@ -77,12 +78,12 @@ HybridResult simulate_hybrid(InferenceBackend& backend, const HybridConfig& conf
   // joules are not the edge board's energy.
   auto route_to_cloud = [&](std::size_t id) {
     const double arrival = arrivals[id];
-    const double latency = config.cloud.request_latency_s(sc.seq.input, sc.seq.output);
+    const double latency = config.cloud.request_latency_s(seq.input, seq.output);
     timeline.append_at(arrival, trace::Phase::kOffload, latency, 1,
-                       static_cast<double>(sc.seq.total));
+                       static_cast<double>(seq.total));
     timeline.start_request(id, arrival);
     timeline.finish_request(id, arrival + latency);
-    result.cloud_cost_usd += config.cloud.request_cost_usd(sc.seq.input, sc.seq.output);
+    result.cloud_cost_usd += config.cloud.request_cost_usd(seq.input, seq.output);
   };
 
   // Runs the batch [next, next+take) on the edge at `dispatch_at`.
@@ -94,14 +95,14 @@ HybridResult simulate_hybrid(InferenceBackend& backend, const HybridConfig& conf
     const double power = batch_latency > 0.0 ? energy_by_bs[take] / batch_latency
                                              : trace::kPowerUnset;
     timeline.emit(trace::Phase::kDecode, batch_latency, take,
-                  static_cast<double>(sc.seq.total), power);
+                  static_cast<double>(seq.total), power);
     for (std::size_t i = 0; i < take; ++i) {
       timeline.start_request(next + i, dispatch_at);
       timeline.finish_request(next + i, timeline.now());
     }
   };
 
-  while (next < sc.arrivals.total_requests) {
+  while (next < total) {
     const double arrival = arrivals[next];
 
     if (config.policy == OffloadPolicy::kCloudOnly) {
@@ -113,7 +114,7 @@ HybridResult simulate_hybrid(InferenceBackend& backend, const HybridConfig& conf
     // Requests waiting when the edge device frees up (or now, if idle).
     const double dispatch_at = std::max(arrival, timeline.now());
     std::size_t waiting = 0;
-    while (next + waiting < sc.arrivals.total_requests &&
+    while (next + waiting < total &&
            arrivals[next + waiting] <= dispatch_at) {
       ++waiting;
     }
@@ -122,7 +123,7 @@ HybridResult simulate_hybrid(InferenceBackend& backend, const HybridConfig& conf
     // Policy decisions before forming the edge batch.
     if (config.policy == OffloadPolicy::kQueueDepth && waiting > config.queue_threshold) {
       // Overflow beyond one full batch goes to the cloud (newest requests).
-      std::size_t to_edge = std::min(waiting, sc.max_batch);
+      std::size_t to_edge = std::min(waiting, max_batch);
       std::size_t overflow = waiting - to_edge;
       for (std::size_t i = 0; i < overflow; ++i) {
         route_to_cloud(next + to_edge + i);
@@ -132,7 +133,7 @@ HybridResult simulate_hybrid(InferenceBackend& backend, const HybridConfig& conf
       continue;
     }
 
-    const std::size_t take = std::min(waiting, sc.max_batch);
+    const std::size_t take = std::min(waiting, max_batch);
     const double batch_latency = edge_batch(take);
 
     if (config.policy == OffloadPolicy::kLatencyThreshold) {

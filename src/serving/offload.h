@@ -3,8 +3,9 @@
 //
 // A CloudEndpoint models a hosted LLM API (network RTT + uplink transfer +
 // provider queue + prefill/decode service rates + per-token price). The
-// hybrid simulator runs the same arrival process as the edge batch
-// scheduler, but a routing policy may send requests to the cloud:
+// hybrid simulator batches the edge share exactly as StaticBatchPolicy does
+// (same arrivals, same batch costs), but a routing policy may send requests
+// to the cloud:
 //
 //   kEdgeOnly / kCloudOnly : baselines
 //   kQueueDepth            : overflow to the cloud when more than
@@ -25,9 +26,9 @@
 #include <string>
 #include <vector>
 
-#include "serving/batch_scheduler.h"
 #include "serving/session.h"
 #include "trace/timeline.h"
+#include "workload/arrivals.h"
 
 namespace orinsim::serving {
 
@@ -53,7 +54,9 @@ enum class OffloadPolicy { kEdgeOnly, kCloudOnly, kQueueDepth, kLatencyThreshold
 std::string offload_policy_name(OffloadPolicy policy);
 
 struct HybridConfig {
-  SchedulerConfig scheduler;            // arrivals, max batch, sequence config
+  workload::ArrivalConfig arrivals;
+  std::size_t max_batch = 32;           // edge batch cap
+  workload::SeqConfig seq = workload::seq_config_default();
   CloudEndpoint cloud;
   OffloadPolicy policy = OffloadPolicy::kQueueDepth;
   std::size_t queue_threshold = 16;     // kQueueDepth

@@ -12,10 +12,32 @@
 #include <cstddef>
 #include <vector>
 
-#include "model/speculative.h"
 #include "tokenizer/tokenizer.h"
+#include "workload/prompt_pool.h"
 
 namespace orinsim::serving {
+
+// Draft/verify accounting for speculative serving, per request and summed
+// per run (all zero when the backend runs no speculation). `proposed` counts
+// only draft tokens the target actually compared: a rejection cuts the round
+// short, so per round proposed == accepted + (1 if a proposal was rejected).
+// Drafts the round never compared are not booked as rejected. Each round
+// emits its accepted prefix plus one target token, so emitted == accepted +
+// rounds and accepted <= proposed <= accepted + rounds (pinned by test).
+struct SpeculationStats {
+  std::size_t rounds = 0;
+  std::size_t proposed = 0;
+  std::size_t accepted = 0;
+  std::size_t emitted = 0;
+
+  double acceptance_rate() const {
+    return proposed > 0 ? static_cast<double>(accepted) / static_cast<double>(proposed)
+                        : 0.0;
+  }
+  double tokens_per_round() const {
+    return rounds > 0 ? static_cast<double>(emitted) / static_cast<double>(rounds) : 0.0;
+  }
+};
 
 enum class RequestState { kQueued, kPrefilling, kDecoding, kFinished, kPreempted };
 
@@ -49,12 +71,27 @@ struct Request {
   // speculatively (all zero otherwise). Survives preemption: recompute
   // replays recorded tokens without re-running rounds, so the counters keep
   // describing the rounds that actually executed.
-  SpeculativeStats spec;
+  SpeculationStats spec;
 
   // Tokens in (or due in) the KV cache: prompt plus everything generated.
   std::size_t context() const { return prompt_tokens + generated; }
   bool done() const { return generated >= max_new_tokens; }
 };
+
+// One count-only request per arrival timestamp (ids in order, seq.input
+// prompt tokens, seq.output new tokens): the request stream the simulated
+// and static schedulers consume.
+inline std::vector<Request> requests_from_arrivals(const std::vector<double>& arrival_s,
+                                                   const workload::SeqConfig& seq) {
+  std::vector<Request> requests(arrival_s.size());
+  for (std::size_t i = 0; i < arrival_s.size(); ++i) {
+    requests[i].id = i;
+    requests[i].arrival_s = arrival_s[i];
+    requests[i].prompt_tokens = seq.input;
+    requests[i].max_new_tokens = seq.output;
+  }
+  return requests;
+}
 
 // Per-request energy attribution, derived from the engine's event stream:
 // every powered step's energy is split evenly across the requests active in

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/error.h"
 #include "sim/device_catalog.h"
 
 namespace orinsim::serving {
@@ -100,12 +99,7 @@ double ServingDevice::mean_power_w() const {
 EngineResult ServingDevice::finish() { return engine_->finish(); }
 
 EngineResult ServingDevice::run(std::vector<Request> requests) {
-  ORINSIM_CHECK(!requests.empty() && backend_->max_lanes() > 0,
-                "serving_device: degenerate run");
-  for (Request& r : requests) engine_->submit(std::move(r));
-  while (engine_->step() == ContinuousEngine::Step::kWorked) {
-  }
-  return engine_->finish();
+  return engine_->run(std::move(requests));
 }
 
 }  // namespace orinsim::serving

@@ -12,9 +12,8 @@
 //    that decode actual tokens.
 //
 // The device exposes exactly the stepping surface the fleet router needs
-// (submit/step/idle/now/queue_depth/...) plus run(), the offline
-// submit-all + step-until-idle + finish loop — the same loop body as
-// ContinuousPolicy::run, so offline planning and fleet serving share one
+// (submit/step/idle/now/queue_depth/...) plus run(), which forwards to
+// ContinuousEngine::run, so offline planning and fleet serving share one
 // source of truth for admission/preemption/retirement semantics.
 #pragma once
 

@@ -30,7 +30,7 @@ TEST(KVCacheTest, AppendCommitReadBack) {
   std::vector<float> k(kv, 1.5f), v(kv, -2.5f);
 
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    EXPECT_EQ(cache.append(l, 0, k, v), 0u);
+    EXPECT_EQ(cache.append_many(l, 0, k, v, 1), 0u);
   }
   cache.commit(0);
   EXPECT_EQ(cache.seq_len(0), 1u);
@@ -45,7 +45,7 @@ TEST(KVCacheTest, StagedEntryReadableBeforeCommit) {
   KVCache cache(cfg, 1, 4);
   const std::size_t kv = cfg.kv_dim();
   std::vector<float> k(kv, 3.0f), v(kv, 4.0f);
-  cache.append(0, 0, k, v);
+  cache.append_many(0, 0, k, v, 1);
   // pos == seq_len(b) reads the staged entry.
   std::vector<float> scratch(kv);
   EXPECT_EQ(cache.key(0, 0, 0, scratch)[0], 3.0f);
@@ -57,7 +57,7 @@ TEST(KVCacheTest, PerSequenceLengthsIndependent) {
   const std::size_t kv = cfg.kv_dim();
   std::vector<float> k(kv, 0.0f), v(kv, 0.0f);
   for (int step = 0; step < 3; ++step) {
-    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 1, k, v);
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 1, k, v, 1);
     cache.commit(1);
   }
   EXPECT_EQ(cache.seq_len(0), 0u);
@@ -70,10 +70,10 @@ TEST(KVCacheTest, OverflowRejected) {
   const std::size_t kv = cfg.kv_dim();
   std::vector<float> k(kv), v(kv);
   for (int i = 0; i < 2; ++i) {
-    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k, v);
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, 1);
     cache.commit(0);
   }
-  EXPECT_THROW(cache.append(0, 0, k, v), ContractViolation);
+  EXPECT_THROW(cache.append_many(0, 0, k, v, 1), ContractViolation);
   EXPECT_THROW(cache.commit(0), ContractViolation);
 }
 
@@ -89,7 +89,7 @@ TEST(KVCacheTest, BytesAccountingDense) {
   EXPECT_EQ(cache.used_bytes(), 0u);
   const std::size_t kv = cfg.kv_dim();
   std::vector<float> k(kv), v(kv);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k, v);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, 1);
   cache.commit(0);
   EXPECT_EQ(cache.used_bytes(), cfg.n_layers * 2 * kv * sizeof(float));
 }
@@ -106,14 +106,14 @@ TEST(KVCacheTest, BytesAccountingPagedTracksBlocksInUse) {
   const std::size_t kv = cfg.kv_dim();
   std::vector<float> k(kv), v(kv);
   // One token maps one block for the sequence (shared by all layers).
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k, v);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, 1);
   cache.commit(0);
   EXPECT_EQ(cache.blocks_in_use(), 1u);
   EXPECT_EQ(cache.bytes(), cache.block_bytes());
   EXPECT_EQ(cache.used_bytes(), cfg.n_layers * 2 * kv * sizeof(float));
   // Filling past block_tokens positions takes a second block.
   for (std::size_t t = 1; t < 5; ++t) {
-    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k, v);
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, 1);
     cache.commit(0);
   }
   EXPECT_EQ(cache.blocks_in_use(), 2u);
@@ -131,17 +131,35 @@ TEST(KVCacheTest, ResetClearsLengths) {
   KVCache cache(cfg, 1, 4);
   const std::size_t kv = cfg.kv_dim();
   std::vector<float> k(kv), v(kv);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k, v);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, 1);
   cache.commit(0);
   cache.reset();
   EXPECT_EQ(cache.seq_len(0), 0u);
+}
+
+TEST(KVCacheTest, TruncateSupportsRollback) {
+  // Speculative rejection: drop the unaccepted drafts' KV entries.
+  const auto cfg = tiny_config();
+  KVCache cache(cfg, 1, 16);
+  std::vector<float> k(cfg.kv_dim(), 1.0f), v(cfg.kv_dim(), 2.0f);
+  for (int t = 0; t < 5; ++t) {
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, 1);
+    cache.commit(0);
+  }
+  cache.truncate(0, 2);
+  EXPECT_EQ(cache.seq_len(0), 2u);
+  EXPECT_THROW(cache.truncate(0, 10), ContractViolation);
+  // Growth after rollback reuses the slots.
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, 1);
+  cache.commit(0);
+  EXPECT_EQ(cache.seq_len(0), 3u);
 }
 
 TEST(KVCacheTest, DimensionMismatchRejected) {
   const auto cfg = tiny_config();
   KVCache cache(cfg, 1, 4);
   std::vector<float> wrong(cfg.kv_dim() + 1);
-  EXPECT_THROW(cache.append(0, 0, wrong, wrong), ContractViolation);
+  EXPECT_THROW(cache.append_many(0, 0, wrong, wrong, 1), ContractViolation);
 }
 
 TEST(KVCacheTest, MaxSeqBeyondModelRejected) {
@@ -175,8 +193,8 @@ TEST(KVCacheTest, AppendManyMatchesSequentialAppends) {
     KVCache seq(cfg, 1, 8, storage);
     for (std::size_t p = 0; p < count; ++p) {
       for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-        seq.append(l, 0, std::span<const float>(ks.data() + p * kv, kv),
-                   std::span<const float>(vs.data() + p * kv, kv));
+        seq.append_many(l, 0, std::span<const float>(ks.data() + p * kv, kv),
+                   std::span<const float>(vs.data() + p * kv, kv), 1);
       }
       seq.commit(0);
     }

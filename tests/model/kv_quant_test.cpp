@@ -35,7 +35,7 @@ TEST(KVQuantTest, RoundTripWithinAbsmaxBound) {
     v[i] = static_cast<float>(rng.normal(0.0, 0.5));
     absmax = std::max(absmax, std::fabs(k[i]));
   }
-  cache.append(0, 0, k, v);
+  cache.append_many(0, 0, k, v, 1);
   std::vector<float> scratch(cfg.kv_dim());
   const auto k_back = cache.key(0, 0, 0, scratch);
   for (std::size_t i = 0; i < k.size(); ++i) {
@@ -52,9 +52,9 @@ TEST(KVQuantTest, TwoPositionsReadableSimultaneously) {
   KVCache cache(cfg, 1, 4, KVStorage::kI8);
   std::vector<float> k0(cfg.kv_dim(), 2.0f), k1(cfg.kv_dim(), -3.0f);
   std::vector<float> v(cfg.kv_dim(), 0.5f);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k0, v);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k0, v, 1);
   cache.commit(0);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k1, v);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k1, v, 1);
   cache.commit(0);
 
   std::vector<float> s0(cfg.kv_dim()), s1(cfg.kv_dim());
@@ -77,7 +77,7 @@ TEST(KVQuantTest, ConcurrentReadsWithPrivateScratch) {
       k[i] = static_cast<float>(rng.normal(0.0, 1.0));
       v[i] = static_cast<float>(rng.normal(0.0, 1.0));
     }
-    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k, v);
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, 1);
     cache.commit(0);
   }
 
@@ -121,7 +121,7 @@ TEST(KVQuantTest, UsedBytesTracksStorage) {
   KVCache i8(cfg, 1, 8, KVStorage::kI8);
   std::vector<float> k(cfg.kv_dim(), 1.0f), v(cfg.kv_dim(), -1.0f);
   EXPECT_EQ(i8.used_bytes(), 0u);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) i8.append(l, 0, k, v);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) i8.append_many(l, 0, k, v, 1);
   i8.commit(0);
   EXPECT_EQ(i8.used_bytes(),
             cfg.n_layers * 2 * (cfg.kv_dim() * sizeof(std::int8_t) + sizeof(float)));

@@ -108,7 +108,7 @@ KVCacheOptions small_pool(std::size_t block_tokens, std::size_t max_blocks) {
 
 void append_all_layers(KVCache& cache, std::size_t b, float fill) {
   std::vector<float> row(cache.kv_dim(), fill);
-  for (std::size_t l = 0; l < 2; ++l) cache.append(l, b, row, row);
+  for (std::size_t l = 0; l < 2; ++l) cache.append_many(l, b, row, row, 1);
   cache.commit(b, 1);
 }
 
@@ -156,7 +156,7 @@ TEST(PagedKVTest, TryReserveIsAllOrNothingAndExhaustionThrows) {
   // Growth past the reservation with an empty pool throws.
   for (int i = 0; i < 8; ++i) append_all_layers(cache, 0, 1.0f);
   std::vector<float> row(cache.kv_dim(), 0.0f);
-  EXPECT_THROW(cache.append(0, 0, row, row), ContractViolation);
+  EXPECT_THROW(cache.append_many(0, 0, row, row, 1), ContractViolation);
   // Beyond max_seq is refused even if blocks exist.
   cache.free_sequence(1);
   EXPECT_FALSE(cache.try_reserve(0, 5));  // 8 committed + 5 > max_seq 12

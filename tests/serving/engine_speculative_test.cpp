@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/error.h"
 #include "sim/speculative_sim.h"
 #include "tensor/dtype.h"
 #include "tensor/simd.h"
@@ -111,6 +112,18 @@ TEST_F(SpeculativeEngineTest, BitIdenticalAcrossPrecisionsStoragesAndPools) {
       }
     }
   }
+
+  // One low-acceptance input: the untrained master's logits are nearly flat,
+  // so INT4 quantization noise flips the draft's argmax often. Rejections
+  // dominate, and the stream must still be exactly greedy.
+  FunctionalEngineConfig cfg = small_config();
+  const EngineResult plain = run_functional_continuous(master_, DType::kF32, pool_, cfg);
+  cfg.speculation.enabled = true;
+  cfg.speculation.draft_dtype = DType::kI4;
+  const EngineResult spec = run_functional_continuous(master_, DType::kF32, pool_, cfg);
+  expect_same_streams(spec, plain, "FP32/kvf32/INT4 draft");
+  EXPECT_GT(spec.speculation.rounds, 0u);
+  EXPECT_LT(spec.speculation.acceptance_rate(), 0.9);
 }
 
 // A speculative request preempted mid-stream must recompute to the exact
@@ -191,7 +204,7 @@ TEST_F(SpeculativeEngineTest, EmitsDraftVerifyPhasesWithExactAccounting) {
   EXPECT_EQ(spec.decode_steps, spec.timeline.count(trace::Phase::kDecode) +
                                    spec.timeline.count(trace::Phase::kVerify));
 
-  const EngineResult::SpeculationSummary& s = spec.speculation;
+  const SpeculationStats& s = spec.speculation;
   EXPECT_GT(s.rounds, 0u);
   // Each round emits its accepted prefix plus exactly one target token
   // (corrective or bonus), and verifies at most one losing proposal.
@@ -203,6 +216,104 @@ TEST_F(SpeculativeEngineTest, EmitsDraftVerifyPhasesWithExactAccounting) {
   for (const Request& r : plain.requests) plain_tokens += r.output.size();
   for (const Request& r : spec.requests) spec_tokens += r.output.size();
   EXPECT_EQ(spec_tokens, plain_tokens);
+}
+
+// ---------------------------------------------------------------------------
+// Draft/verify properties, one request stream per draft precision
+// ---------------------------------------------------------------------------
+
+class SpeculativeTest : public SpeculativeEngineTest {
+ protected:
+  // small_config() on the FP32 target, served speculatively with the given
+  // self-draft precision (FP32 = the target itself).
+  EngineResult serve(DType draft_dtype) {
+    FunctionalEngineConfig cfg = small_config();
+    cfg.speculation.enabled = true;
+    cfg.speculation.draft_dtype = draft_dtype;
+    return run_functional_continuous(master_, DType::kF32, pool_, cfg);
+  }
+};
+
+TEST_F(SpeculativeTest, OutputIdenticalToTargetGreedy) {
+  // The defining property: every served stream is exactly what the target
+  // model's own greedy generate() produces for that prompt.
+  ScopedLevel scalar(simd::Level::kScalar);
+  const EngineResult spec = serve(DType::kI8);
+  Model target(master_, DType::kF32);
+  for (const Request& r : spec.requests) {
+    EXPECT_EQ(r.output, target.generate({r.prompt}, r.max_new_tokens).outputs[0])
+        << "request " << r.id;
+  }
+}
+
+TEST_F(SpeculativeTest, SelfDraftAcceptsEverything) {
+  // Draft == target: every verified proposal is accepted, so each round
+  // retires K accepted tokens plus the bonus (minus end-of-request clamping).
+  ScopedLevel scalar(simd::Level::kScalar);
+  const SpeculationStats s = serve(DType::kF32).speculation;
+  EXPECT_GT(s.rounds, 0u);
+  EXPECT_EQ(s.proposed, s.accepted);
+  EXPECT_DOUBLE_EQ(s.acceptance_rate(), 1.0);
+  EXPECT_GE(s.tokens_per_round(), 4.0);
+}
+
+TEST_F(SpeculativeTest, QuantizedDraftOfSameFamily) {
+  // The realistic pairing: the INT8-quantized target drafts for itself.
+  // (Untrained logits are nearly flat, so quantization noise flips argmax
+  // sometimes; INT8 stays close, INT4 does not — see the grid's
+  // low-acceptance input.)
+  ScopedLevel scalar(simd::Level::kScalar);
+  EXPECT_GT(serve(DType::kI8).speculation.acceptance_rate(), 0.5);
+}
+
+TEST_F(SpeculativeTest, ProposedCountsOnlyVerifiedDrafts) {
+  // A rejection cuts the verify loop short: the drafts past it were never
+  // compared, so they must not count as proposed. Per round the target
+  // verifies accepted + (1 if rejected) proposals, so across the run
+  // proposed <= accepted + rounds; booking all K per round would break it
+  // under a draft that rejects often.
+  ScopedLevel scalar(simd::Level::kScalar);
+  const SpeculationStats s = serve(DType::kI4).speculation;
+  EXPECT_GT(s.rounds, 1u);
+  EXPECT_LT(s.accepted, s.proposed);
+  EXPECT_LE(s.proposed, s.accepted + s.rounds);
+}
+
+TEST_F(SpeculativeTest, StatsAreConsistent) {
+  // Per request: the first token comes from prefill, so rounds retire at
+  // most generated - 1; the run's counters are the per-request sum.
+  ScopedLevel scalar(simd::Level::kScalar);
+  const EngineResult spec = serve(DType::kI8);
+  SpeculationStats sum;
+  for (const Request& r : spec.requests) {
+    EXPECT_LE(r.spec.accepted, r.spec.proposed);
+    EXPECT_LE(r.spec.emitted, r.generated - 1);
+    EXPECT_EQ(r.spec.emitted, r.spec.accepted + r.spec.rounds);
+    sum.rounds += r.spec.rounds;
+    sum.proposed += r.spec.proposed;
+    sum.accepted += r.spec.accepted;
+    sum.emitted += r.spec.emitted;
+  }
+  EXPECT_EQ(spec.speculation.rounds, sum.rounds);
+  EXPECT_EQ(spec.speculation.proposed, sum.proposed);
+  EXPECT_EQ(spec.speculation.accepted, sum.accepted);
+  EXPECT_EQ(spec.speculation.emitted, sum.emitted);
+}
+
+TEST_F(SpeculativeTest, InvalidConfigsRejected) {
+  Model target(master_, DType::kF32);
+  FunctionalTokenBackend::Config bc;
+  bc.speculation.enabled = true;
+  EXPECT_THROW(FunctionalTokenBackend b(target, bc), ContractViolation);  // no draft
+  Model draft(master_, DType::kI8);
+  bc.speculation.draft_tokens = 0;
+  EXPECT_THROW(FunctionalTokenBackend b(target, bc, nullptr, &draft), ContractViolation);
+  bc.speculation.draft_tokens = 4;
+  auto other_vocab = MasterWeights::init_random(
+      make_nano_config("llama3", tokenizer_.vocab_size() + 3), 4);
+  Model mismatched(other_vocab, DType::kF32);
+  EXPECT_THROW(FunctionalTokenBackend b(target, bc, nullptr, &mismatched),
+               ContractViolation);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,21 +332,11 @@ TEST(SimSpeculativeEngineTest, CalibratedAcceptanceMatchesExpectedTokensPerRound
   workload::ArrivalConfig arrivals;
   arrivals.kind = workload::ArrivalKind::kPoisson;
   arrivals.total_requests = 16;
-  const auto make_requests = [&] {
-    std::vector<Request> requests;
-    for (double t : arrivals.generate()) {
-      Request r;
-      r.id = requests.size();
-      r.arrival_s = t;
-      r.prompt_tokens = bc.seq.input;
-      r.max_new_tokens = bc.seq.output;
-      requests.push_back(r);
-    }
-    return requests;
-  };
+  const std::vector<double> arrival_s = arrivals.generate();
 
   SimTokenBackend plain_backend(bc);
-  const EngineResult plain = ContinuousPolicy(plain_backend).run(make_requests());
+  const EngineResult plain =
+      ContinuousEngine(plain_backend).run(requests_from_arrivals(arrival_s, bc.seq));
 
   bc.speculation.enabled = true;
   bc.speculation.draft_tokens = 4;
@@ -246,7 +347,8 @@ TEST(SimSpeculativeEngineTest, CalibratedAcceptanceMatchesExpectedTokensPerRound
   bc.speculation.draft_model_key = "phi2";
   bc.speculation.draft_dtype = DType::kF16;
   SimTokenBackend spec_backend(bc);
-  const EngineResult spec = ContinuousPolicy(spec_backend).run(make_requests());
+  const EngineResult spec =
+      ContinuousEngine(spec_backend).run(requests_from_arrivals(arrival_s, bc.seq));
 
   // Same requests retire with the same token totals.
   ASSERT_EQ(spec.latencies_s.size(), plain.latencies_s.size());

@@ -1,8 +1,8 @@
-// The unified request-lifecycle serving engine: preemption on KV block
-// exhaustion, recompute-lossless resumption, occupancy metrics off the
-// event stream, and the acceptance run — a 64-request Poisson stream on the
-// functional engine with more lanes than the block pool can hold at full
-// sequence length.
+// The unified request-lifecycle serving engine: static batching, preemption
+// on KV block exhaustion, recompute-lossless resumption, occupancy metrics
+// off the event stream, and the acceptance run — a 64-request Poisson stream
+// on the functional engine with more lanes than the block pool can hold at
+// full sequence length.
 #include "serving/engine.h"
 
 #include <gtest/gtest.h>
@@ -10,8 +10,8 @@
 #include <cmath>
 #include <string>
 
+#include "core/error.h"
 #include "core/rng.h"
-#include "serving/continuous_batching.h"
 #include "serving/session.h"
 #include "trace/export.h"
 #include "workload/corpus.h"
@@ -30,17 +30,8 @@ TEST(EngineSimTest, UnlimitedPoolNeverPreemptsAndKeepsLegacyTraces) {
   arrivals.kind = workload::ArrivalKind::kPoisson;
   arrivals.total_requests = 16;
   SimTokenBackend backend(bc);
-
-  std::vector<Request> requests;
-  for (double t : arrivals.generate()) {
-    Request r;
-    r.id = requests.size();
-    r.arrival_s = t;
-    r.prompt_tokens = bc.seq.input;
-    r.max_new_tokens = bc.seq.output;
-    requests.push_back(r);
-  }
-  const EngineResult result = ContinuousPolicy(backend).run(std::move(requests));
+  const EngineResult result =
+      ContinuousEngine(backend).run(requests_from_arrivals(arrivals.generate(), bc.seq));
 
   EXPECT_EQ(result.latencies_s.size(), 16u);
   EXPECT_EQ(result.preemptions, 0u);
@@ -49,41 +40,6 @@ TEST(EngineSimTest, UnlimitedPoolNeverPreemptsAndKeepsLegacyTraces) {
   EXPECT_EQ(result.peak_kv_blocks, 0u);
   EXPECT_EQ(result.mean_kv_utilization, 0.0);
   EXPECT_EQ(trace::to_jsonl(result.timeline).find("kv_blocks"), std::string::npos);
-}
-
-TEST(EngineSimTest, MatchesLegacyContinuousSimulator) {
-  ContinuousConfig config;
-  config.max_concurrency = 8;
-  config.arrivals.kind = workload::ArrivalKind::kPoisson;
-  config.arrivals.total_requests = 16;
-  const ContinuousResult legacy = simulate_continuous(config);
-
-  SimTokenBackend::Config bc;
-  bc.model_key = config.model_key;
-  bc.dtype = config.dtype;
-  bc.max_concurrency = config.max_concurrency;
-  bc.seq = config.seq;
-  bc.power_mode = config.power_mode;
-  SimTokenBackend backend(bc);
-  std::vector<Request> requests;
-  for (double t : config.arrivals.generate()) {
-    Request r;
-    r.id = requests.size();
-    r.arrival_s = t;
-    r.prompt_tokens = config.seq.input;
-    r.max_new_tokens = config.seq.output;
-    requests.push_back(r);
-  }
-  const EngineResult engine = ContinuousPolicy(backend).run(std::move(requests));
-
-  ASSERT_EQ(engine.latencies_s.size(), legacy.latencies_s.size());
-  for (std::size_t i = 0; i < engine.latencies_s.size(); ++i) {
-    EXPECT_DOUBLE_EQ(engine.latencies_s[i], legacy.latencies_s[i]);
-  }
-  EXPECT_DOUBLE_EQ(engine.makespan_s, legacy.makespan_s);
-  EXPECT_DOUBLE_EQ(engine.energy_j, legacy.energy_j);
-  EXPECT_DOUBLE_EQ(engine.mean_active, legacy.mean_active);
-  EXPECT_EQ(engine.decode_steps, legacy.decode_steps);
 }
 
 TEST(EngineSimTest, BlockExhaustionPreemptsInsteadOfFailing) {
@@ -100,16 +56,8 @@ TEST(EngineSimTest, BlockExhaustionPreemptsInsteadOfFailing) {
   arrivals.kind = workload::ArrivalKind::kPoisson;
   arrivals.rate_rps = 8.0;  // heavy load keeps all lanes occupied
   arrivals.total_requests = 32;
-  std::vector<Request> requests;
-  for (double t : arrivals.generate()) {
-    Request r;
-    r.id = requests.size();
-    r.arrival_s = t;
-    r.prompt_tokens = bc.seq.input;
-    r.max_new_tokens = bc.seq.output;
-    requests.push_back(r);
-  }
-  const EngineResult result = ContinuousPolicy(backend).run(std::move(requests));
+  const EngineResult result =
+      ContinuousEngine(backend).run(requests_from_arrivals(arrivals.generate(), bc.seq));
 
   // Every request completes despite the pool being too small for the lane
   // count — preemption, not OOM.
@@ -139,22 +87,97 @@ TEST(EngineSimTest, BlockExhaustionPreemptsInsteadOfFailing) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-request energy attribution (conservation invariant)
+// Static batching (the paper's regime): StaticBatchPolicy over a SimSession
 // ---------------------------------------------------------------------------
 
-std::vector<Request> sim_request_stream(const SimTokenBackend::Config& bc,
-                                        const workload::ArrivalConfig& arrivals) {
-  std::vector<Request> requests;
-  for (double t : arrivals.generate()) {
-    Request r;
-    r.id = requests.size();
-    r.arrival_s = t;
-    r.prompt_tokens = bc.seq.input;
-    r.max_new_tokens = bc.seq.output;
-    requests.push_back(r);
-  }
-  return requests;
+EngineResult run_static(const std::string& model, std::size_t max_batch,
+                        const std::vector<double>& arrival_s) {
+  SimSession session(model, DType::kF16, workload::Dataset::kWikiText2);
+  const workload::SeqConfig seq = workload::seq_config_default();
+  return StaticBatchPolicy(session, max_batch, seq).run(requests_from_arrivals(arrival_s, seq));
 }
+
+std::vector<double> even_arrivals(double rps, std::size_t count) {
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = rps;
+  arrivals.total_requests = count;
+  return arrivals.generate();
+}
+
+TEST(BatchSchedulerTest, AllRequestsServed) {
+  const EngineResult r = run_static("llama3", 8, even_arrivals(4.0, 32));
+  ASSERT_EQ(r.requests.size(), 32u);
+  for (const trace::RequestRecord& rec : r.timeline.requests()) {
+    EXPECT_GE(rec.start_s, rec.arrival_s);
+    EXPECT_GT(rec.finish_s, rec.start_s);
+  }
+  EXPECT_GT(r.decode_steps, 0u);  // one kDecode event per batch
+  EXPECT_GT(r.energy_j, 0.0);
+}
+
+TEST(BatchSchedulerTest, LargerMaxBatchFewerBatches) {
+  const std::vector<double> arrivals = even_arrivals(4.0, 32);
+  EXPECT_GT(run_static("llama3", 2, arrivals).decode_steps,
+            run_static("llama3", 16, arrivals).decode_steps);
+}
+
+TEST(BatchSchedulerTest, HigherArrivalRateRaisesOccupancy) {
+  // Trickle: batches mostly run singly. Flood: batches fill to max.
+  const auto occupancy = [](double rps) {
+    return run_static("llama3", 8, even_arrivals(rps, 32))
+        .timeline.mean_batch(trace::Phase::kDecode);
+  };
+  EXPECT_GT(occupancy(50.0), occupancy(0.05));
+}
+
+TEST(BatchSchedulerTest, LatencyStatsOrdered) {
+  const EngineResult r = run_static("llama3", 8, even_arrivals(4.0, 32));
+  EXPECT_GT(r.mean_latency_s(), 0.0);
+  EXPECT_GE(r.p95_latency_s(), r.mean_latency_s() * 0.5);
+  EXPECT_GT(static_cast<double>(r.latencies_s.size()) / r.makespan_s, 0.0);
+}
+
+TEST(BatchSchedulerTest, InvalidConfigsRejected) {
+  EXPECT_THROW(run_static("llama3", 0, even_arrivals(4.0, 32)), ContractViolation);
+  EXPECT_THROW(run_static("llama3", 8, {}), ContractViolation);
+}
+
+TEST(BatchSchedulerTest, OomConfigRejected) {
+  EXPECT_THROW(run_static("deepseek-qwen", 8, even_arrivals(4.0, 32)), ContractViolation);
+}
+
+TEST(BatchSchedulerArrivalsTest, PoissonStreamServed) {
+  workload::ArrivalSpec spec;
+  spec.kind = workload::ArrivalKind::kPoisson;
+  spec.rate_rps = 4.0;
+  const std::vector<double> arrivals = workload::generate_arrivals(spec, 32);
+  const EngineResult r = run_static("llama3", 8, arrivals);
+  ASSERT_EQ(r.timeline.requests().size(), 32u);
+  for (std::size_t i = 0; i < 32; ++i) {
+    EXPECT_DOUBLE_EQ(r.timeline.requests()[i].arrival_s, arrivals[i]);
+    EXPECT_GE(r.timeline.requests()[i].start_s, arrivals[i]);
+  }
+}
+
+TEST(BatchSchedulerArrivalsTest, BurstyTailWorseThanDeterministic) {
+  // Same mean rate: the bursty stream's p95 latency must be no better than
+  // the evenly spaced one (queueing theory's basic lesson).
+  workload::ArrivalSpec spec;
+  spec.kind = workload::ArrivalKind::kBursty;
+  spec.rate_rps = 3.0;
+  spec.burst_factor = 8.0;
+  const EngineResult even = run_static("llama3", 8, even_arrivals(3.0, 64));
+  const EngineResult bursty = run_static("llama3", 8, workload::generate_arrivals(spec, 64));
+  EXPECT_GE(bursty.p95_latency_s(), even.p95_latency_s() * 0.9);
+}
+
+TEST(BatchSchedulerArrivalsTest, DecreasingArrivalsRejected) {
+  EXPECT_THROW(run_static("llama3", 32, {1.0, 0.5}), ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Per-request energy attribution (conservation invariant)
+// ---------------------------------------------------------------------------
 
 double attributed_sum_j(const EngineResult& result) {
   double sum = 0.0;
@@ -170,7 +193,7 @@ TEST(EngineEnergyTest, SimContinuousAttributionConservesEnergy) {
   arrivals.total_requests = 16;
   SimTokenBackend backend(bc);
   const EngineResult result =
-      ContinuousPolicy(backend).run(sim_request_stream(bc, arrivals));
+      ContinuousEngine(backend).run(requests_from_arrivals(arrivals.generate(), bc.seq));
 
   EXPECT_GT(result.energy_j, 0.0);
   ASSERT_EQ(result.request_metrics.size(), 16u);
@@ -195,7 +218,7 @@ TEST(EngineEnergyTest, AttributionConservesEnergyUnderPreemption) {
   arrivals.rate_rps = 8.0;
   arrivals.total_requests = 32;
   const EngineResult result =
-      ContinuousPolicy(backend).run(sim_request_stream(bc, arrivals));
+      ContinuousEngine(backend).run(requests_from_arrivals(arrivals.generate(), bc.seq));
 
   // Preempted requests pay for their recompute prefills too; the split still
   // conserves the timeline total.
@@ -209,18 +232,9 @@ TEST(EngineEnergyTest, StaticPolicyAttributionConservesEnergy) {
   arrivals.kind = workload::ArrivalKind::kPoisson;
   arrivals.rate_rps = 0.5;
   arrivals.total_requests = 12;
-  std::vector<Request> requests;
   const workload::SeqConfig seq = workload::seq_config_default();
-  for (double t : arrivals.generate()) {
-    Request r;
-    r.id = requests.size();
-    r.arrival_s = t;
-    r.prompt_tokens = seq.input;
-    r.max_new_tokens = seq.output;
-    requests.push_back(r);
-  }
   StaticBatchPolicy policy(session, /*max_batch=*/4, seq);
-  const EngineResult result = policy.run(std::move(requests));
+  const EngineResult result = policy.run(requests_from_arrivals(arrivals.generate(), seq));
 
   EXPECT_GT(result.energy_j, 0.0);
   ASSERT_EQ(result.request_metrics.size(), 12u);
@@ -262,7 +276,7 @@ TEST(EngineGovernorTest, PowerCapStepsDownLadderAndSustainsCap) {
   arrivals.rate_rps = 1000.0;  // flood: one prefill wave, then pure decode
   arrivals.total_requests = 8;
   const EngineResult result =
-      ContinuousPolicy(backend, gov).run(sim_request_stream(bc, arrivals));
+      ContinuousEngine(backend, gov).run(requests_from_arrivals(arrivals.generate(), bc.seq));
 
   EXPECT_EQ(result.latencies_s.size(), 8u);
   EXPECT_GE(result.governor_step_downs, 1u);
@@ -314,7 +328,7 @@ TEST(EngineGovernorTest, LadderFloorDefersAdmissionsThenResumes) {
     r.max_new_tokens = 4 + 6 * i;
     requests.push_back(r);
   }
-  const EngineResult result = ContinuousPolicy(backend, gov).run(std::move(requests));
+  const EngineResult result = ContinuousEngine(backend, gov).run(std::move(requests));
 
   EXPECT_EQ(result.latencies_s.size(), 10u);
   EXPECT_EQ(result.governor_step_downs, 0u);  // no rung to step to
@@ -340,7 +354,7 @@ TEST(EngineGovernorTest, ThermalLoopStepsDownWhenHot) {
   arrivals.rate_rps = 1000.0;
   arrivals.total_requests = 8;
   const EngineResult result =
-      ContinuousPolicy(backend, gov).run(sim_request_stream(bc, arrivals));
+      ContinuousEngine(backend, gov).run(requests_from_arrivals(arrivals.generate(), bc.seq));
 
   EXPECT_EQ(result.latencies_s.size(), 8u);
   const trace::ExecutionTimeline& tl = result.timeline;
@@ -360,10 +374,10 @@ TEST(EngineGovernorTest, DisabledGovernorLeavesScheduleAndTraceUntouched) {
 
   SimTokenBackend plain(bc);
   const EngineResult baseline =
-      ContinuousPolicy(plain).run(sim_request_stream(bc, arrivals));
+      ContinuousEngine(plain).run(requests_from_arrivals(arrivals.generate(), bc.seq));
   SimTokenBackend gated(bc);
-  const EngineResult governed =
-      ContinuousPolicy(gated, GovernorConfig{}).run(sim_request_stream(bc, arrivals));
+  const EngineResult governed = ContinuousEngine(gated, GovernorConfig{})
+                                    .run(requests_from_arrivals(arrivals.generate(), bc.seq));
 
   // Default config = governor off: byte-identical serialization, no events.
   EXPECT_EQ(baseline.governor_step_downs, 0u);
@@ -546,13 +560,13 @@ TEST(EngineSteppableTest, StepLoopReproducesRunToCompletionExactly) {
   arrivals.rate_rps = 8.0;
   arrivals.total_requests = 32;
 
-  SimTokenBackend policy_backend(bc);
-  const EngineResult via_policy =
-      ContinuousPolicy(policy_backend).run(sim_request_stream(bc, arrivals));
+  SimTokenBackend run_backend(bc);
+  const EngineResult via_run =
+      ContinuousEngine(run_backend).run(requests_from_arrivals(arrivals.generate(), bc.seq));
 
   SimTokenBackend engine_backend(bc);
   ContinuousEngine engine(engine_backend);
-  std::vector<Request> stream = sim_request_stream(bc, arrivals);
+  std::vector<Request> stream = requests_from_arrivals(arrivals.generate(), bc.seq);
   for (Request& r : stream) engine.submit(std::move(r));
   std::size_t steps = 0;
   while (engine.step() == ContinuousEngine::Step::kWorked) ++steps;
@@ -562,13 +576,13 @@ TEST(EngineSteppableTest, StepLoopReproducesRunToCompletionExactly) {
 
   // Same scheduler core, two drivers: the executed schedules serialize to
   // byte-identical traces and the derived metrics agree exactly.
-  EXPECT_EQ(trace::to_jsonl(via_steps.timeline), trace::to_jsonl(via_policy.timeline));
-  EXPECT_EQ(via_steps.preemptions, via_policy.preemptions);
-  EXPECT_DOUBLE_EQ(via_steps.makespan_s, via_policy.makespan_s);
-  EXPECT_DOUBLE_EQ(via_steps.energy_j, via_policy.energy_j);
-  ASSERT_EQ(via_steps.latencies_s.size(), via_policy.latencies_s.size());
+  EXPECT_EQ(trace::to_jsonl(via_steps.timeline), trace::to_jsonl(via_run.timeline));
+  EXPECT_EQ(via_steps.preemptions, via_run.preemptions);
+  EXPECT_DOUBLE_EQ(via_steps.makespan_s, via_run.makespan_s);
+  EXPECT_DOUBLE_EQ(via_steps.energy_j, via_run.energy_j);
+  ASSERT_EQ(via_steps.latencies_s.size(), via_run.latencies_s.size());
   for (std::size_t i = 0; i < via_steps.latencies_s.size(); ++i) {
-    EXPECT_DOUBLE_EQ(via_steps.latencies_s[i], via_policy.latencies_s[i]);
+    EXPECT_DOUBLE_EQ(via_steps.latencies_s[i], via_run.latencies_s[i]);
   }
 }
 
@@ -580,7 +594,7 @@ TEST(EngineSteppableTest, DrainRejectsNewWorkAndRetiresInFlight) {
   arrivals.total_requests = 8;
   SimTokenBackend backend(bc);
   ContinuousEngine engine(backend);
-  std::vector<Request> stream = sim_request_stream(bc, arrivals);
+  std::vector<Request> stream = requests_from_arrivals(arrivals.generate(), bc.seq);
   for (Request& r : stream) engine.submit(std::move(r));
 
   // Let part of the work through, then drain mid-flight.
@@ -620,7 +634,7 @@ TEST(EngineSteppableTest, SecondDrainIsANoOp) {
   arrivals.total_requests = 4;
   SimTokenBackend backend(bc);
   ContinuousEngine engine(backend);
-  std::vector<Request> stream = sim_request_stream(bc, arrivals);
+  std::vector<Request> stream = requests_from_arrivals(arrivals.generate(), bc.seq);
   for (Request& r : stream) engine.submit(std::move(r));
 
   engine.drain();

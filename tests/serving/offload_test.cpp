@@ -8,9 +8,9 @@ namespace {
 class OffloadTest : public ::testing::Test {
  protected:
   OffloadTest() : session_("llama3", DType::kF16, workload::Dataset::kWikiText2) {
-    config_.scheduler.max_batch = 16;
-    config_.scheduler.arrivals.rate_rps = 4.0;
-    config_.scheduler.arrivals.total_requests = 48;
+    config_.max_batch = 16;
+    config_.arrivals.rate_rps = 4.0;
+    config_.arrivals.total_requests = 48;
   }
   SimSession session_;
   HybridConfig config_;
@@ -52,7 +52,7 @@ TEST_F(OffloadTest, CloudOnlyUsesNoEdge) {
 TEST_F(OffloadTest, QueueDepthSpillsUnderLoad) {
   config_.policy = OffloadPolicy::kQueueDepth;
   config_.queue_threshold = 4;
-  config_.scheduler.arrivals.rate_rps = 50.0;  // flood
+  config_.arrivals.rate_rps = 50.0;  // flood
   const HybridResult r = simulate_hybrid(session_, config_);
   EXPECT_GT(r.cloud_requests, 0u);
   EXPECT_GT(r.edge_requests, 0u);
@@ -62,13 +62,13 @@ TEST_F(OffloadTest, QueueDepthSpillsUnderLoad) {
 TEST_F(OffloadTest, QueueDepthIdleStaysOnEdge) {
   config_.policy = OffloadPolicy::kQueueDepth;
   config_.queue_threshold = 16;
-  config_.scheduler.arrivals.rate_rps = 0.05;  // trickle
+  config_.arrivals.rate_rps = 0.05;  // trickle
   const HybridResult r = simulate_hybrid(session_, config_);
   EXPECT_EQ(r.cloud_requests, 0u);
 }
 
 TEST_F(OffloadTest, HybridImprovesTailLatencyUnderLoad) {
-  config_.scheduler.arrivals.rate_rps = 20.0;
+  config_.arrivals.rate_rps = 20.0;
   config_.policy = OffloadPolicy::kEdgeOnly;
   const HybridResult edge = simulate_hybrid(session_, config_);
   config_.policy = OffloadPolicy::kQueueDepth;

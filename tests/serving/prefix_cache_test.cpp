@@ -55,7 +55,7 @@ void fill_sequence(KVCache& cache, std::size_t b, std::size_t count, float base)
   std::vector<float> row(cache.kv_dim());
   for (std::size_t i = 0; i < count; ++i) {
     std::fill(row.begin(), row.end(), base + static_cast<float>(i));
-    for (std::size_t l = 0; l < 2; ++l) cache.append(l, b, row, row);
+    for (std::size_t l = 0; l < 2; ++l) cache.append_many(l, b, row, row, 1);
     cache.commit(b, 1);
   }
 }

@@ -1,8 +1,10 @@
 // ServingDevice: the engine+backend+governor bundle the fleet router steps.
 // Pins of the extraction refactor: a catalog-built device must reproduce the
-// hand-assembled SimTokenBackend + ContinuousPolicy schedule exactly, and
+// hand-assembled SimTokenBackend + ContinuousEngine schedule exactly, and
 // heterogeneous catalog entries must yield distinct, roofline-consistent
-// step costs from the same request stream.
+// step costs from the same request stream. The continuous-batching study
+// (token-level admit/retire vs the paper's static batches) runs on the
+// default device: the Orin AGX 64GB at MaxN with an unlimited block pool.
 #include "serving/serving_device.h"
 
 #include <gtest/gtest.h>
@@ -23,16 +25,7 @@ std::vector<Request> poisson_stream(std::size_t count, double rps,
   arrivals.kind = workload::ArrivalKind::kPoisson;
   arrivals.rate_rps = rps;
   arrivals.total_requests = count;
-  std::vector<Request> stream;
-  for (double t : arrivals.generate()) {
-    Request rq;
-    rq.id = stream.size();
-    rq.arrival_s = t;
-    rq.prompt_tokens = seq.input;
-    rq.max_new_tokens = seq.output;
-    stream.push_back(rq);
-  }
-  return stream;
+  return requests_from_arrivals(arrivals.generate(), seq);
 }
 
 TEST(ServingDeviceTest, ReproducesHandAssembledEngineExactly) {
@@ -54,13 +47,14 @@ TEST(ServingDeviceTest, ReproducesHandAssembledEngineExactly) {
   SimTokenBackend backend(bc);
   GovernorConfig gov;
   gov.power_cap_w = 40.0;
-  const EngineResult b = ContinuousPolicy(backend, gov).run(poisson_stream(24, 4.0, seq));
+  const EngineResult b = ContinuousEngine(backend, gov).run(poisson_stream(24, 4.0, seq));
 
   EXPECT_EQ(a.latencies_s, b.latencies_s);
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.energy_j, b.energy_j);
   EXPECT_EQ(a.governor_step_downs, b.governor_step_downs);
   EXPECT_EQ(a.decode_steps, b.decode_steps);
+  EXPECT_EQ(a.mean_active, b.mean_active);
 }
 
 TEST(ServingDeviceTest, HeterogeneousCatalogEntriesYieldDistinctStepCosts) {
@@ -134,6 +128,73 @@ TEST(ServingDeviceTest, UnknownDeviceKeyRejected) {
   ServingDevice::SimConfig dc;
   dc.device_key = "h100-sxm";
   EXPECT_THROW(ServingDevice device(dc), ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Continuous batching on the reference device
+// ---------------------------------------------------------------------------
+
+// llama3 FP16, evenly spaced arrivals, up to `cap` sequences decoding together.
+EngineResult run_continuous(double rps, std::size_t count, std::size_t cap = 16) {
+  ServingDevice::SimConfig dc;
+  dc.max_concurrency = cap;
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = rps;
+  arrivals.total_requests = count;
+  return ServingDevice(dc).run(requests_from_arrivals(arrivals.generate(), dc.seq));
+}
+
+TEST(ContinuousBatchingTest, AllRequestsComplete) {
+  const EngineResult r = run_continuous(2.0, 32);
+  EXPECT_EQ(r.latencies_s.size(), 32u);
+  for (double l : r.latencies_s) EXPECT_GT(l, 0.0);
+  EXPECT_GT(r.makespan_s, 0.0);
+  EXPECT_GT(r.energy_j, 0.0);
+  EXPECT_GE(r.decode_steps, 64u);  // at least out_tokens steps
+}
+
+TEST(ContinuousBatchingTest, Deterministic) {
+  const EngineResult a = run_continuous(2.0, 32);
+  const EngineResult b = run_continuous(2.0, 32);
+  EXPECT_EQ(a.latencies_s, b.latencies_s);
+  EXPECT_DOUBLE_EQ(a.energy_j, b.energy_j);
+}
+
+TEST(ContinuousBatchingTest, OccupancyBoundedByCap) {
+  const EngineResult r = run_continuous(100.0, 32);  // flood
+  EXPECT_LE(r.mean_active, 16.0 + 1e-9);
+  EXPECT_GT(r.mean_active, 4.0);  // flood keeps the device busy
+}
+
+TEST(ContinuousBatchingTest, SingleRequestLatencyNearBsOne) {
+  // A lone request should see roughly the bs=1 static latency (prefill +
+  // 64 decode steps), with no batching delay.
+  const EngineResult r = run_continuous(1.0, 1);
+  ASSERT_EQ(r.latencies_s.size(), 1u);
+  EXPECT_GT(r.latencies_s[0], 4.0);
+  EXPECT_LT(r.latencies_s[0], 9.0);  // paper bs=1: 6.37s minus run overhead
+}
+
+TEST(ContinuousBatchingTest, BeatsStaticMeanLatencyUnderLoad) {
+  // Same arrival process, same concurrency budget: continuous batching must
+  // cut mean time-to-last-token (no waiting for batch formation/stragglers).
+  SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
+  const workload::SeqConfig seq = workload::seq_config_default();
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = 5.0;
+  arrivals.total_requests = 48;
+  const EngineResult stat = StaticBatchPolicy(session, 16, seq)
+                                .run(requests_from_arrivals(arrivals.generate(), seq));
+  EXPECT_LT(run_continuous(5.0, 48).mean_latency_s(), stat.mean_latency_s());
+}
+
+TEST(ContinuousBatchingTest, EnergyScalesWithWork) {
+  EXPECT_GT(run_continuous(2.0, 64).energy_j, run_continuous(2.0, 32).energy_j * 1.5);
+}
+
+TEST(ContinuousBatchingTest, DegenerateConfigsRejected) {
+  EXPECT_THROW(run_continuous(2.0, 0), ContractViolation);      // no requests
+  EXPECT_THROW(run_continuous(2.0, 32, 0), ContractViolation);  // no lanes
 }
 
 }  // namespace

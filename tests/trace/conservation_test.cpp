@@ -4,9 +4,8 @@
 // make the timeline the single source of truth.
 #include <gtest/gtest.h>
 
-#include "serving/batch_scheduler.h"
-#include "serving/continuous_batching.h"
 #include "serving/offload.h"
+#include "serving/serving_device.h"
 #include "sim/inference_sim.h"
 #include "sim/speculative_sim.h"
 #include "trace/timeline.h"
@@ -48,24 +47,31 @@ TEST(TraceConservationTest, SimRunDurationsSumToLatency) {
                   r.latency_s);
 }
 
+// Evenly spaced llama3 requests at the paper's default sequence split.
+std::vector<serving::Request> even_requests(double rps, std::size_t count) {
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = rps;
+  arrivals.total_requests = count;
+  return serving::requests_from_arrivals(arrivals.generate(),
+                                         workload::seq_config_default());
+}
+
 TEST(TraceConservationTest, SchedulerMetricsMatchTimeline) {
   serving::SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
-  serving::SchedulerConfig config;
-  config.max_batch = 8;
-  config.arrivals.rate_rps = 4.0;
-  config.arrivals.total_requests = 32;
-  const serving::ScheduleResult r = simulate_serving(session, config);
+  const serving::EngineResult r =
+      serving::StaticBatchPolicy(session, 8, workload::seq_config_default())
+          .run(even_requests(4.0, 32));
   const trace::ExecutionTimeline& tl = r.timeline;
 
   // Gap-free device schedule: stalls + batches tile the makespan.
   expect_near_rel(tl.duration_sum_s(), r.makespan_s);
-  EXPECT_DOUBLE_EQ(tl.total_energy_j(), r.total_energy_j);
-  EXPECT_EQ(tl.count(trace::Phase::kDecode), r.batches_run);
+  EXPECT_DOUBLE_EQ(tl.total_energy_j(), r.energy_j);
+  EXPECT_EQ(tl.count(trace::Phase::kDecode), r.decode_steps);
 
   // Request bookkeeping is consistent between views.
-  ASSERT_EQ(tl.requests().size(), r.requests.size());
-  for (std::size_t i = 0; i < r.requests.size(); ++i) {
-    EXPECT_DOUBLE_EQ(tl.requests()[i].latency_s(), r.requests[i].total_latency_s());
+  ASSERT_EQ(tl.requests().size(), r.latencies_s.size());
+  for (std::size_t i = 0; i < r.latencies_s.size(); ++i) {
+    EXPECT_DOUBLE_EQ(tl.requests()[i].latency_s(), r.latencies_s[i]);
   }
   const trace::LatencySummary summary = tl.latency_summary();
   EXPECT_DOUBLE_EQ(summary.mean_s, r.mean_latency_s());
@@ -73,11 +79,9 @@ TEST(TraceConservationTest, SchedulerMetricsMatchTimeline) {
 }
 
 TEST(TraceConservationTest, ContinuousMetricsMatchTimeline) {
-  serving::ContinuousConfig config;
-  config.max_concurrency = 16;
-  config.arrivals.rate_rps = 2.0;
-  config.arrivals.total_requests = 32;
-  const serving::ContinuousResult r = simulate_continuous(config);
+  serving::ServingDevice::SimConfig dc;
+  dc.max_concurrency = 16;
+  const serving::EngineResult r = serving::ServingDevice(dc).run(even_requests(2.0, 32));
   const trace::ExecutionTimeline& tl = r.timeline;
 
   expect_near_rel(tl.duration_sum_s(), r.makespan_s);
@@ -90,22 +94,22 @@ TEST(TraceConservationTest, ContinuousMetricsMatchTimeline) {
 
 TEST(TraceConservationTest, HybridEdgeOnlyMatchesStaticScheduler) {
   // The same arrival stream through the hybrid simulator with cloud disabled
-  // must reproduce the static scheduler's energy and latency stats exactly —
+  // must reproduce StaticBatchPolicy's energy and latency stats exactly —
   // both are derived from equivalent event streams.
   serving::SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
-  serving::SchedulerConfig sc;
-  sc.max_batch = 16;
-  sc.arrivals.rate_rps = 4.0;
-  sc.arrivals.total_requests = 48;
-  const serving::ScheduleResult stat = simulate_serving(session, sc);
-
   serving::HybridConfig hc;
-  hc.scheduler = sc;
+  hc.max_batch = 16;
+  hc.arrivals.rate_rps = 4.0;
+  hc.arrivals.total_requests = 48;
   hc.policy = serving::OffloadPolicy::kEdgeOnly;
   const serving::HybridResult hybrid = simulate_hybrid(session, hc);
 
-  EXPECT_EQ(hybrid.edge_requests, sc.arrivals.total_requests);
-  EXPECT_DOUBLE_EQ(hybrid.edge_energy_j, stat.total_energy_j);
+  const serving::EngineResult stat =
+      serving::StaticBatchPolicy(session, hc.max_batch, hc.seq)
+          .run(serving::requests_from_arrivals(hc.arrivals.generate(), hc.seq));
+
+  EXPECT_EQ(hybrid.edge_requests, hc.arrivals.total_requests);
+  EXPECT_DOUBLE_EQ(hybrid.edge_energy_j, stat.energy_j);
   EXPECT_DOUBLE_EQ(hybrid.mean_latency_s(), stat.mean_latency_s());
   EXPECT_DOUBLE_EQ(hybrid.makespan_s, stat.makespan_s);
 }
@@ -113,9 +117,9 @@ TEST(TraceConservationTest, HybridEdgeOnlyMatchesStaticScheduler) {
 TEST(TraceConservationTest, HybridCloudEventsOverlapOffDevice) {
   serving::SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
   serving::HybridConfig hc;
-  hc.scheduler.max_batch = 16;
-  hc.scheduler.arrivals.rate_rps = 50.0;  // flood -> spill
-  hc.scheduler.arrivals.total_requests = 48;
+  hc.max_batch = 16;
+  hc.arrivals.rate_rps = 50.0;  // flood -> spill
+  hc.arrivals.total_requests = 48;
   hc.policy = serving::OffloadPolicy::kQueueDepth;
   hc.queue_threshold = 4;
   const serving::HybridResult r = simulate_hybrid(session, hc);

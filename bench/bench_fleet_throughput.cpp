@@ -7,7 +7,9 @@
 // the next deployment question up: which box should each request land on
 // when a storefront runs a rack of them.
 //
-// Three checks always run (exit non-zero on failure):
+// Four checks always run (exit non-zero on failure):
+//  - memory: every device configuration fits its usable RAM under
+//    sim::MemoryModel (weights plus every lane's KV at full length);
 //  - determinism: the same config routed twice yields an identical
 //    FleetResult (same device choices, goodput, energy, percentiles);
 //  - energy conservation: per-request attributed energy sums to each
@@ -33,6 +35,9 @@
 #include "fleet/router.h"
 #include "model/transformer.h"
 #include "serving/serving_device.h"
+#include "sim/device_catalog.h"
+#include "sim/memory_model.h"
+#include "sim/model_catalog.h"
 #include "workload/corpus.h"
 
 using namespace orinsim;
@@ -43,11 +48,12 @@ namespace {
 // The 16-box heterogeneous fleet: half the rack is big Orins, the rest the
 // smaller tier. Power caps sit under each class's observed MaxN draw so the
 // governor has real work on the big boxes; the small boxes run phi2 (llama3
-// does not fit an 8 GB Nano) at their own scaled power modes.
+// does not fit an 8 GB Nano) at their own scaled power modes, the Nano in
+// INT8 (FP16 phi2 at 4 lanes needs more than its usable memory).
 std::vector<serving::ServingDevice::SimConfig> fleet_16() {
   std::vector<serving::ServingDevice::SimConfig> devices;
   auto add = [&](const std::string& key, const std::string& mode,
-                 const std::string& model, std::size_t lanes, double cap_w,
+                 const std::string& model, DType dtype, std::size_t lanes, double cap_w,
                  std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       serving::ServingDevice::SimConfig dc;
@@ -55,18 +61,34 @@ std::vector<serving::ServingDevice::SimConfig> fleet_16() {
       dc.device_key = key;
       dc.power_mode = mode;
       dc.model_key = model;
+      dc.dtype = dtype;
       dc.max_concurrency = lanes;
       dc.governor.power_cap_w = cap_w;
       devices.push_back(dc);
     }
     return devices.size();
   };
-  add("orin-agx-64", "MaxN", "llama3", 8, 40.0, 4);
-  add("orin-agx-32", "MaxN", "llama3", 8, 40.0, 2);
-  add("xavier-agx-32", "MaxN", "phi2", 8, 30.0, 2);
-  add("orin-nx-16", "MaxN", "phi2", 4, 20.0, 4);
-  add("orin-nano-8", "A", "phi2", 4, 15.0, 4);
+  add("orin-agx-64", "MaxN", "llama3", DType::kF16, 8, 40.0, 4);
+  add("orin-agx-32", "MaxN", "llama3", DType::kF16, 8, 40.0, 2);
+  add("xavier-agx-32", "MaxN", "phi2", DType::kF16, 8, 30.0, 2);
+  add("orin-nx-16", "MaxN", "phi2", DType::kF16, 4, 20.0, 4);
+  add("orin-nano-8", "A", "phi2", DType::kI8, 4, 15.0, 4);
   return devices;
+}
+
+// The simulated engine has no memory gate, so the fleet itself must only
+// serve configurations the memory model says load: weights plus the KV of
+// every lane at full sequence length within the device's usable RAM.
+bool fits_memory(const serving::ServingDevice::SimConfig& dc) {
+  const sim::MemoryModel memory(sim::device_by_key(dc.device_key).spec);
+  const sim::MemoryBreakdown need =
+      memory.workload_memory(sim::model_by_key(dc.model_key), dc.dtype, dc.max_concurrency,
+                             dc.seq.input, dc.seq.output);
+  if (!memory.workload_oom(need)) return true;
+  std::printf("FAIL: %s serves %s %s at %zu lanes, %.2f GB > %.2f GB usable\n",
+              dc.name.c_str(), dc.model_key.c_str(), dtype_name(dc.dtype).c_str(),
+              dc.max_concurrency, need.total_gb(), memory.usable_gb());
+  return false;
 }
 
 bool summaries_equal(const FleetResult& a, const FleetResult& b) {
@@ -170,9 +192,13 @@ int main(int argc, char** argv) {
               "SLO %.0f s\n\n",
               config.devices.size(), requests, rps, slo_s);
 
+  bool ok = true;
+  for (const serving::ServingDevice::SimConfig& dc : config.devices) {
+    if (!fits_memory(dc)) ok = false;
+  }
+
   Table table({"Policy", "Completed", "Goodput (req/s)", "TTFT p50 (s)", "TTFT p99 (s)",
                "TPOT p50 (s)", "TPOT p99 (s)", "J/token", "Step-downs", "Preempts"});
-  bool ok = true;
   double rr_ttft_p99 = 0.0;
   double jsq_ttft_p99 = 0.0;
   for (RoutePolicy policy : all_route_policies()) {

@@ -8,7 +8,9 @@
 // kernel and reports measured GB/s, GFLOP/s, arithmetic intensity, the
 // roofline ceiling min(peak_flops, AI * peak_bw), and the fraction of that
 // ceiling actually reached — the per-kernel efficiency numbers CI archives
-// as a JSON artifact. All other arguments run google-benchmark as before.
+// as a JSON artifact. The fused attention kernel's rows also report
+// ns_per_query_pos, its cost per (query vector, position) pair. All other
+// arguments run google-benchmark as before.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -138,7 +140,9 @@ struct RooflinePoint {
   double bytes_per_iter = 0.0;  // weight + activation traffic per call
   double flops_per_iter = 0.0;
   double seconds_per_iter = 0.0;
+  double query_positions = 0.0;  // attention rows: (query vector, position) pairs per call
 };
+
 
 // Times fn for ~min_time seconds and returns the best observed seconds/iter
 // of three repeats (interference only ever slows a run down, so the fastest
@@ -203,6 +207,70 @@ double measure_peak_gbps() {
   return best / 1e9;
 }
 
+// Fused attention at the llama3 nano head geometry (8 query heads over 2 KV
+// heads of 16) against a 2048-position chain of 16-row blocks: one decode
+// row, and one 32-row prefill chunk ending at the same context. Traffic is
+// the K/V rows read once per KV head; FLOPs are 4 * head_dim per (query
+// vector, position) pair (score dot plus the weighted V sum).
+void add_attention_points(std::vector<RooflinePoint>& points) {
+  constexpr std::size_t kHeads = 8, kKvHeads = 2, kHeadDim = 16, kCtx = 2048, kBlock = 16;
+  constexpr std::size_t kWidth = kKvHeads * kHeadDim, kRowStride = kHeads * kHeadDim;
+  const auto kf = random_vec(kCtx * kWidth, 20, 1.0f);
+  const auto vf = random_vec(kCtx * kWidth, 21, 1.0f);
+  std::vector<std::int8_t> kc(kf.size()), vc(vf.size());
+  for (std::size_t i = 0; i < kf.size(); ++i) {
+    kc[i] = static_cast<std::int8_t>(static_cast<int>(kf[i] * 40.0f) % 127);
+    vc[i] = static_cast<std::int8_t>(static_cast<int>(vf[i] * 40.0f) % 127);
+  }
+  const std::vector<float> scales(kCtx, 1.0f / 40.0f);
+  std::vector<std::size_t> blocks(kCtx / kBlock);
+  for (std::size_t i = 0; i < blocks.size(); ++i) blocks[i] = i;
+  const auto q = random_vec(32 * kRowStride, 22, 1.0f);
+  std::vector<float> out(32 * kRowStride);
+
+  const simd::Level entry = simd::active_level();
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::native_available()) levels.push_back(simd::Level::kNative);
+  for (simd::Level level : levels) {
+    simd::set_level(level);
+    for (bool int8 : {false, true}) {
+      simd::KVChainView view;
+      view.blocks = blocks.data();
+      view.block_rows = kBlock;
+      view.row_width = kWidth;
+      if (int8) {
+        view.k_codes = kc.data();
+        view.v_codes = vc.data();
+        view.k_scales = scales.data();
+        view.v_scales = scales.data();
+      } else {
+        view.k = kf.data();
+        view.v = vf.data();
+      }
+      const double row_bytes =
+          int8 ? kWidth + sizeof(float) : kWidth * sizeof(float);  // per K or V row
+      for (std::size_t rows : {std::size_t{1}, std::size_t{32}}) {
+        const std::size_t first = kCtx - rows;
+        double pairs = 0.0;
+        for (std::size_t t = 0; t < rows; ++t) pairs += static_cast<double>(first + t + 1);
+        pairs *= kHeads;
+        RooflinePoint p;
+        p.name = std::string(rows == 1 ? "attend_decode_" : "attend_prefill32_") +
+                 (int8 ? "i8kv_" : "f32kv_") + simd::level_name(level);
+        p.query_positions = pairs;
+        p.flops_per_iter = 4.0 * kHeadDim * pairs;
+        p.bytes_per_iter = 2.0 * kCtx * row_bytes + 2.0 * rows * kRowStride * sizeof(float);
+        p.seconds_per_iter = time_kernel([&] {
+          simd::attend_rows(q.data(), out.data(), kRowStride, rows, first, kHeads, kKvHeads,
+                            kHeadDim, view);
+        });
+        points.push_back(p);
+      }
+    }
+  }
+  simd::set_level(entry);
+}
+
 int run_roofline(const std::string& json_path) {
   const simd::Level level = simd::init();
   const double peak_gbps = measure_peak_gbps();
@@ -252,6 +320,7 @@ int run_roofline(const std::string& json_path) {
         time_kernel([&] { sink = sink + simd::dot_f32(a.data(), b.data(), n); });
     points.push_back(dot);
   }
+  add_attention_points(points);
 
   std::printf("== Kernel roofline: %s kernels, peak %.1f GFLOP/s, %.1f GB/s ==\n",
               simd::level_name(level), peak_gflops, peak_gbps);
@@ -281,7 +350,13 @@ int run_roofline(const std::string& json_path) {
     json += ", \"arithmetic_intensity\": " + std::to_string(ai);
     json += ", \"roof_gflops\": " + std::to_string(roof);
     json += ", \"pct_of_roof\": " + std::to_string(pct);
-    json += std::string(", \"bound\": \"") + bound + "\"}";
+    json += std::string(", \"bound\": \"") + bound + "\"";
+    if (p.query_positions > 0.0) {
+      const double ns = 1e9 * p.seconds_per_iter / p.query_positions;
+      json += ", \"ns_per_query_pos\": " + std::to_string(ns);
+      std::printf("|   %-16s | %.3f ns per (query vector, position)\n", "", ns);
+    }
+    json += "}";
     json += i + 1 < points.size() ? ",\n" : "\n";
   }
   json += "  ]\n}\n";

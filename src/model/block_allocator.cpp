@@ -12,7 +12,8 @@ BlockAllocator::BlockAllocator(std::size_t total_blocks, std::size_t block_bytes
   cached_.assign(total_blocks, 0);
   free_list_.reserve(total_blocks);
   // Descending ids so pop_back hands out block 0 first: the common serial
-  // decode fills blocks 0,1,2,... and key_rows stays a zero-copy span.
+  // decode fills blocks 0,1,2,..., so attention walks its chain through
+  // memory in address order.
   for (std::size_t i = total_blocks; i > 0; --i) free_list_.push_back(i - 1);
 }
 

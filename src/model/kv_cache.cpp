@@ -30,7 +30,10 @@ KVCache::KVCache(const TransformerConfig& config, std::size_t batch, std::size_t
   ORINSIM_CHECK(max_seq <= config.max_seq, "KVCache max_seq exceeds model max_seq");
 
   std::size_t rows = batch_ * max_seq_;
-  if (layout_ == KVLayout::kPaged) {
+  if (layout_ == KVLayout::kDense) {
+    dense_ids_.resize(batch_);
+    for (std::size_t i = 0; i < batch_; ++i) dense_ids_[i] = i;
+  } else {
     ORINSIM_CHECK(block_tokens_ > 0, "KVCache block_tokens must be positive");
     std::size_t pool_blocks = options.max_blocks;
     if (pool_blocks == 0) {
@@ -295,92 +298,32 @@ std::span<const float> KVCache::value(std::size_t layer, std::size_t b, std::siz
   return scratch.first(kv_dim_);
 }
 
-namespace {
-
-// True when a paged sequence's first ceil(count / block_tokens) blocks are
-// physically consecutive, so rows [0, count) form one contiguous slab run.
-bool contiguous_prefix(const std::vector<std::size_t>& table, std::size_t n_blocks) {
-  for (std::size_t j = 1; j < n_blocks; ++j) {
-    if (table[j] != table[0] + j) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::span<const float> KVCache::key_rows(std::size_t layer, std::size_t b, std::size_t count,
-                                         std::span<float> scratch) const {
+simd::KVChainView KVCache::chain(std::size_t layer, std::size_t b,
+                                 std::size_t count) const {
   ORINSIM_CHECK(layer < n_layers_ && b < batch_ && count > 0 && count - 1 <= staged_end(b) &&
                     count <= max_seq_,
-                "KVCache::key_rows out of range");
-  if (storage_ == KVStorage::kF32 && layout_ == KVLayout::kDense) {
-    return std::span<const float>(keys_[layer].data() + row(b, 0) * kv_dim_, count * kv_dim_);
+                "KVCache::chain out of range");
+  simd::KVChainView view;
+  view.row_width = kv_dim_;
+  if (layout_ == KVLayout::kDense) {
+    view.blocks = dense_ids_.data() + b;
+    view.block_rows = max_seq_;
+  } else {
+    ORINSIM_CHECK(blocks_for(count, block_tokens_) <= tables_[b].size(),
+                  "KVCache::chain reads unmapped positions");
+    view.blocks = tables_[b].data();
+    view.block_rows = block_tokens_;
   }
   if (storage_ == KVStorage::kF32) {
-    const std::vector<std::size_t>& table = tables_[b];
-    const std::size_t n_blocks = blocks_for(count, block_tokens_);
-    ORINSIM_CHECK(n_blocks <= table.size(), "KVCache::key_rows reads unmapped positions");
-    if (contiguous_prefix(table, n_blocks)) {
-      return std::span<const float>(
-          keys_[layer].data() + table[0] * block_tokens_ * kv_dim_, count * kv_dim_);
-    }
-    ORINSIM_CHECK(scratch.size() >= count * kv_dim_,
-                  "KVCache::key_rows needs count*kv_dim scratch floats");
-    for (std::size_t j = 0; j < n_blocks; ++j) {
-      const std::size_t rows_here = std::min(block_tokens_, count - j * block_tokens_);
-      std::copy_n(keys_[layer].begin() + table[j] * block_tokens_ * kv_dim_,
-                  rows_here * kv_dim_, scratch.begin() + j * block_tokens_ * kv_dim_);
-    }
-    return scratch.first(count * kv_dim_);
+    view.k = keys_[layer].data();
+    view.v = values_[layer].data();
+  } else {
+    view.k_codes = key_codes_[layer].data();
+    view.v_codes = value_codes_[layer].data();
+    view.k_scales = key_scales_[layer].data();
+    view.v_scales = value_scales_[layer].data();
   }
-  ORINSIM_CHECK(scratch.size() >= count * kv_dim_,
-                "KVCache::key_rows needs count*kv_dim scratch floats");
-  for (std::size_t p = 0; p < count; ++p) {
-    const std::size_t r = row(b, p);
-    const std::int8_t* codes = key_codes_[layer].data() + r * kv_dim_;
-    const float scale = key_scales_[layer][r];
-    float* out = scratch.data() + p * kv_dim_;
-    for (std::size_t i = 0; i < kv_dim_; ++i) out[i] = static_cast<float>(codes[i]) * scale;
-  }
-  return scratch.first(count * kv_dim_);
-}
-
-std::span<const float> KVCache::value_rows(std::size_t layer, std::size_t b, std::size_t count,
-                                           std::span<float> scratch) const {
-  ORINSIM_CHECK(layer < n_layers_ && b < batch_ && count > 0 && count - 1 <= staged_end(b) &&
-                    count <= max_seq_,
-                "KVCache::value_rows out of range");
-  if (storage_ == KVStorage::kF32 && layout_ == KVLayout::kDense) {
-    return std::span<const float>(values_[layer].data() + row(b, 0) * kv_dim_,
-                                  count * kv_dim_);
-  }
-  if (storage_ == KVStorage::kF32) {
-    const std::vector<std::size_t>& table = tables_[b];
-    const std::size_t n_blocks = blocks_for(count, block_tokens_);
-    ORINSIM_CHECK(n_blocks <= table.size(), "KVCache::value_rows reads unmapped positions");
-    if (contiguous_prefix(table, n_blocks)) {
-      return std::span<const float>(
-          values_[layer].data() + table[0] * block_tokens_ * kv_dim_, count * kv_dim_);
-    }
-    ORINSIM_CHECK(scratch.size() >= count * kv_dim_,
-                  "KVCache::value_rows needs count*kv_dim scratch floats");
-    for (std::size_t j = 0; j < n_blocks; ++j) {
-      const std::size_t rows_here = std::min(block_tokens_, count - j * block_tokens_);
-      std::copy_n(values_[layer].begin() + table[j] * block_tokens_ * kv_dim_,
-                  rows_here * kv_dim_, scratch.begin() + j * block_tokens_ * kv_dim_);
-    }
-    return scratch.first(count * kv_dim_);
-  }
-  ORINSIM_CHECK(scratch.size() >= count * kv_dim_,
-                "KVCache::value_rows needs count*kv_dim scratch floats");
-  for (std::size_t p = 0; p < count; ++p) {
-    const std::size_t r = row(b, p);
-    const std::int8_t* codes = value_codes_[layer].data() + r * kv_dim_;
-    const float scale = value_scales_[layer][r];
-    float* out = scratch.data() + p * kv_dim_;
-    for (std::size_t i = 0; i < kv_dim_; ++i) out[i] = static_cast<float>(codes[i]) * scale;
-  }
-  return scratch.first(count * kv_dim_);
+  return view;
 }
 
 void KVCache::truncate(std::size_t b, std::size_t new_len) {

@@ -35,6 +35,7 @@
 
 #include "model/block_allocator.h"
 #include "model/config.h"
+#include "tensor/simd.h"
 
 namespace orinsim {
 
@@ -159,19 +160,13 @@ class KVCache {
   std::span<const float> value(std::size_t layer, std::size_t b, std::size_t pos,
                                std::span<float> scratch) const;
 
-  // All K/V rows for positions [0, count) of sequence b in layer l as one
-  // row-major [count, kv_dim] block. FP32 storage returns a direct span when
-  // the rows are physically contiguous — always under the dense layout, and
-  // under paging whenever the sequence's blocks happen to be consecutive
-  // (the serial-decode common case) — otherwise it gathers whole-block runs
-  // into `scratch` (>= count * kv_dim floats). INT8 dequantizes every row
-  // into `scratch` with the exact per-element math of key()/value(). Hoists
-  // the per-(head, position) dequantization out of the attention inner loop —
-  // under GQA the old path repeated it group times.
-  std::span<const float> key_rows(std::size_t layer, std::size_t b, std::size_t count,
-                                  std::span<float> scratch) const;
-  std::span<const float> value_rows(std::size_t layer, std::size_t b, std::size_t count,
-                                    std::span<float> scratch) const;
+  // Read-only view of sequence b's K/V rows in layer l for the fused
+  // attention kernel: the block chain covering positions [0, count), where
+  // count - 1 may be a position staged by append_many() but not yet
+  // committed. Rows are read in place (f32 rows, or int8 codes plus per-row
+  // scales); nothing is copied. The view is valid until the next write to
+  // the cache. The dense layout is one block of max_seq rows per sequence.
+  simd::KVChainView chain(std::size_t layer, std::size_t b, std::size_t count) const;
 
   KVStorage storage() const noexcept { return storage_; }
   KVLayout layout() const noexcept { return layout_; }
@@ -225,6 +220,8 @@ class KVCache {
   // a ref-counted pool. Null under the dense layout.
   std::unique_ptr<BlockAllocator> allocator_;
   std::vector<std::vector<std::size_t>> tables_;
+  // Dense state: sequence b's one-block chain is block id b (chain()).
+  std::vector<std::size_t> dense_ids_;
 
   // FP32 storage: [layer][rows * kv_dim] slabs; rows = batch * max_seq
   // (dense) or pool_blocks * block_tokens (paged).

@@ -6,6 +6,7 @@
 #include "core/rng.h"
 #include "core/stopwatch.h"
 #include "tensor/kernels.h"
+#include "tensor/simd.h"
 
 namespace orinsim {
 
@@ -191,7 +192,6 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, RowS
                       KVCache& cache, InferenceWorkspace& ws) {
   const TransformerConfig& c = master_->config;
   const std::size_t head_dim = c.head_dim();
-  const std::size_t group = c.n_heads / c.n_kv_heads;
   const std::size_t kv_dim = c.kv_dim();
   const std::size_t d = c.d_model;
   const std::size_t n = seqs.size();
@@ -199,12 +199,10 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, RowS
   project_qkv(lq.wq, lq.wk, lq.wv, rows(ws.normed, n, d), rows(ws.q, n, d),
               rows(ws.k, n, kv_dim), rows(ws.v, n, kv_dim), shape, n, ws);
 
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  std::fill_n(ws.attn.begin(), n * d, 0.0f);
   // Each run of rows sharing a sequence holds that sequence's next positions
   // (a whole chunk, or one decode lane): RoPE them, stage their K/V with one
-  // append_many (the caller commits after all layers), then dequantize (or
-  // zero-copy view) the K/V prefix once for the whole run.
+  // append_many (the caller commits after all layers), then attend over the
+  // sequence's block chain in place.
   for (std::size_t r0 = 0, r1 = 0; r0 < n; r0 = r1) {
     r1 = run_end(seqs, r0);
     const std::size_t b = seqs[r0];
@@ -218,29 +216,8 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, RowS
     const std::size_t len = r1 - r0;
     cache.append_many(layer, b, std::span<const float>(ws.k.data() + r0 * kv_dim, len * kv_dim),
                       std::span<const float>(ws.v.data() + r0 * kv_dim, len * kv_dim), len);
-    const auto keys = cache.key_rows(layer, b, first + len, ws.kv_rows_k);
-    const auto values = cache.value_rows(layer, b, first + len, ws.kv_rows_v);
-
-    for (std::size_t h = 0; h < c.n_heads; ++h) {
-      const std::size_t g = h / group;
-      // Causal: row t attends to positions 0..first+(t-r0). Rows are ragged,
-      // so the softmax runs per row over exactly the valid prefix.
-      for (std::size_t t = r0; t < r1; ++t) {
-        const std::size_t n_pos = first + (t - r0) + 1;
-        const std::span<const float> qh(ws.q.data() + t * d + h * head_dim, head_dim);
-        for (std::size_t p = 0; p < n_pos; ++p) {
-          ws.scores[p] =
-              kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) * inv_sqrt_d;
-        }
-        kernels::softmax_rows(std::span<float>(ws.scores.data(), n_pos), 1, n_pos);
-        float* oh = ws.attn.data() + t * d + h * head_dim;
-        for (std::size_t p = 0; p < n_pos; ++p) {
-          const float* vp = values.data() + p * kv_dim + g * head_dim;
-          const float s = ws.scores[p];
-          for (std::size_t i = 0; i < head_dim; ++i) oh[i] += s * vp[i];
-        }
-      }
-    }
+    simd::attend_rows(ws.q.data() + r0 * d, ws.attn.data() + r0 * d, d, len, first, c.n_heads,
+                      c.n_kv_heads, head_dim, cache.chain(layer, b, first + len));
   }
 }
 

@@ -19,9 +19,6 @@ struct InferenceWorkspace {
       : d_model(c.d_model),
         kv_dim(c.kv_dim()),
         d_ff(c.d_ff),
-        scores(c.max_seq),
-        kv_rows_k(c.max_seq * c.kv_dim()),
-        kv_rows_v(c.max_seq * c.kv_dim()),
         hidden(c.d_model) {
     ensure_rows(1);
   }
@@ -44,12 +41,6 @@ struct InferenceWorkspace {
   std::vector<float> x, normed, q, k, v, attn, attn_proj, gate, up, ff, mlp_out;
   // Row -> cache sequence map for single-sequence chunks.
   std::vector<std::size_t> seqs;
-  // One causal score row: each (row, head) softmax finishes before the next.
-  std::vector<float> scores;
-  // Whole-prefix dequantization scratch for KVCache::key_rows()/value_rows():
-  // attention dequantizes the full K/V prefix once per sequence per layer
-  // instead of once per (head, position).
-  std::vector<float> kv_rows_k, kv_rows_v;
   // Final hidden state of the lane currently being advanced.
   std::vector<float> hidden;
   // Reused INT8 activation codes: act8 for one-row projections, act8_rows

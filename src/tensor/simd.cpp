@@ -1,11 +1,14 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "core/error.h"
 
@@ -461,6 +464,435 @@ void gemm_nt_f32(const float* x, const float* w, float* y, std::size_t tokens, s
       y[t * rows + static_cast<std::size_t>(r)] = dot_f32_scalar(x + t * k, wr, k);
     }
   }
+}
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Fused attention. attend_tiled owns the loop structure both levels share; a
+// Tile type stages one position tile of one KV head and folds it into a
+// batch of queries.
+
+// At most this many query vectors of one KV head share a pass over the
+// chain; their state lives on the stack.
+constexpr std::size_t kAttnQueries = 64;
+// Largest head the tile buffers hold.
+constexpr std::size_t kAttnMaxHeadDim = 256;
+
+// The queries of one KV head and batch of rows that reach the current tile,
+// in row order. len is a query's causal length; m and l are its running max
+// and sum (padded by kAttnTile entries, so tiles may load whole vectors);
+// its running output accumulates in place at o.
+struct QueryBatch {
+  const float* const* q;
+  float* const* o;
+  const std::size_t* len;
+  float* m;
+  float* l;
+  std::size_t n;
+};
+
+template <typename T>
+const T* chain_keys(const KVChainView& kv) {
+  if constexpr (std::is_same_v<T, float>) {
+    return kv.k;
+  } else {
+    return kv.k_codes;
+  }
+}
+
+template <typename T>
+const T* chain_values(const KVChainView& kv) {
+  if constexpr (std::is_same_v<T, float>) {
+    return kv.v;
+  } else {
+    return kv.v_codes;
+  }
+}
+
+// Stored scale of a physical row: 1 for f32 rows, the absmax scale for int8.
+inline float row_scale(const float* scales, std::size_t row) {
+  return scales != nullptr ? scales[row] : 1.0f;
+}
+
+// Per KV head and batch of rows: walk the chain tile by tile from position
+// 0, stage each tile once, and fold it into every query whose causal range
+// reaches it. A query sees tiles [0, len) only and every step of its update
+// is its own, so its float sequence never depends on the batch it rides in.
+template <class Tile>
+__attribute__((always_inline)) inline void attend_tiled(
+    const float* q, float* out, std::size_t row_stride, std::size_t rows, std::size_t first,
+    std::size_t n_heads, std::size_t n_kv_heads, std::size_t head_dim,
+    const KVChainView& kv) {
+  const std::size_t group = n_heads / n_kv_heads;
+  const std::size_t batch_rows = std::max<std::size_t>(1, kAttnQueries / group);
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  Tile tile(kv, head_dim);
+  const float* qp[kAttnQueries];
+  float* op[kAttnQueries];
+  std::size_t len[kAttnQueries];
+  float m[kAttnQueries + kAttnTile];
+  float l[kAttnQueries + kAttnTile];
+  std::size_t phys[kAttnTile];
+  for (std::size_t g = 0; g < n_kv_heads; ++g) {
+    for (std::size_t t0 = 0; t0 < rows; t0 += batch_rows) {
+      const std::size_t t1 = std::min(rows, t0 + batch_rows);
+      std::size_t n = 0;
+      for (std::size_t t = t0; t < t1; ++t) {
+        for (std::size_t j = 0; j < group; ++j, ++n) {
+          const std::size_t col = (g * group + j) * head_dim;
+          qp[n] = q + t * row_stride + col;
+          op[n] = out + t * row_stride + col;
+          len[n] = first + t + 1;
+        }
+      }
+      std::fill_n(m, n + kAttnTile, -std::numeric_limits<float>::infinity());
+      std::fill_n(l, n + kAttnTile, 0.0f);
+      // Walk the block chain with a cursor: no division per tile.
+      std::size_t block = 0, offset = 0;
+      const std::size_t n_end = first + t1;  // positions the batch reads
+      for (std::size_t p0 = 0; p0 < n_end; p0 += kAttnTile) {
+        const std::size_t nt = std::min(kAttnTile, n_end - p0);
+        for (std::size_t i = 0; i < nt; ++i) {
+          phys[i] = kv.blocks[block] * kv.block_rows + offset;
+          if (++offset == kv.block_rows) {
+            offset = 0;
+            ++block;
+          }
+        }
+        tile.stage(phys, nt, g * head_dim, inv_sqrt_d);
+        // Queries are in row order, so those reaching past p0 are a suffix.
+        const std::size_t t_begin = std::max(t0, p0 > first ? p0 - first : 0);
+        const std::size_t b = (t_begin - t0) * group;
+        tile.attend(QueryBatch{qp + b, op + b, len + b, m + b, l + b, n - b}, p0);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t d = 0; d < head_dim; ++d) op[i][d] /= l[i];
+      }
+    }
+  }
+}
+
+// Scalar reference tile: row pointers into the cache, plain loops, std::exp.
+template <typename T>
+class ScalarAttnTile {
+ public:
+  ScalarAttnTile(const KVChainView& kv, std::size_t head_dim)
+      : kv_(kv), keys_(chain_keys<T>(kv)), values_(chain_values<T>(kv)), hd_(head_dim) {}
+
+  void stage(const std::size_t* phys, std::size_t nt, std::size_t col, float inv_sqrt_d) {
+    for (std::size_t i = 0; i < nt; ++i) {
+      k_[i] = keys_ + phys[i] * kv_.row_width + col;
+      v_[i] = values_ + phys[i] * kv_.row_width + col;
+      ks_[i] = row_scale(kv_.k_scales, phys[i]) * inv_sqrt_d;
+      vs_[i] = row_scale(kv_.v_scales, phys[i]);
+    }
+  }
+
+  void attend(const QueryBatch& batch, std::size_t p0) const {
+    for (std::size_t j = 0; j < batch.n; ++j) {
+      const float* q = batch.q[j];
+      float* o = batch.o[j];
+      const std::size_t valid = std::min(kAttnTile, batch.len[j] - p0);
+      float s[kAttnTile];
+      float m = batch.m[j];
+      for (std::size_t i = 0; i < valid; ++i) {
+        float acc = 0.0f;
+        for (std::size_t d = 0; d < hd_; ++d) acc += q[d] * static_cast<float>(k_[i][d]);
+        s[i] = acc * ks_[i];
+        m = std::max(m, s[i]);
+      }
+      const float alpha = std::exp(batch.m[j] - m);  // 0 on the first tile
+      batch.m[j] = m;
+      for (std::size_t d = 0; d < hd_; ++d) o[d] = p0 == 0 ? 0.0f : o[d] * alpha;
+      float sum = 0.0f;
+      for (std::size_t i = 0; i < valid; ++i) {
+        const float p = std::exp(s[i] - m);
+        sum += p;
+        const float w = p * vs_[i];
+        for (std::size_t d = 0; d < hd_; ++d) o[d] += w * static_cast<float>(v_[i][d]);
+      }
+      batch.l[j] = batch.l[j] * alpha + sum;
+    }
+  }
+
+ private:
+  const KVChainView& kv_;
+  const T* keys_;
+  const T* values_;
+  std::size_t hd_;
+  const T* k_[kAttnTile] = {};
+  const T* v_[kAttnTile] = {};
+  float ks_[kAttnTile] = {};
+  float vs_[kAttnTile] = {};
+};
+
+#if ORINSIM_SIMD_X86
+// Cephes-style expf: range reduction to [-ln2/2, ln2/2], degree-5
+// polynomial, 2^n through the exponent bits. exp(0) is exactly 1; inputs
+// below the smallest normal's log (including -inf) return exactly 0.
+__attribute__((target("avx2,fma"))) inline __m256 exp_avx2(__m256 x) {
+  const __m256 lo = _mm256_set1_ps(-87.33654f);
+  const __m256 under = _mm256_cmp_ps(x, lo, _CMP_LT_OQ);
+  x = _mm256_min_ps(_mm256_max_ps(x, lo), _mm256_set1_ps(88.37626f));
+  const __m256 fx = _mm256_floor_ps(
+      _mm256_fmadd_ps(x, _mm256_set1_ps(1.44269504088896341f), _mm256_set1_ps(0.5f)));
+  x = _mm256_fnmadd_ps(fx, _mm256_set1_ps(0.693359375f), x);
+  x = _mm256_fnmadd_ps(fx, _mm256_set1_ps(-2.12194440e-4f), x);
+  __m256 y = _mm256_set1_ps(1.9875691500e-4f);
+  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.3981999507e-3f));
+  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(8.3334519073e-3f));
+  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(4.1665795894e-2f));
+  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.6666665459e-1f));
+  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(5.0000001201e-1f));
+  y = _mm256_fmadd_ps(y, _mm256_mul_ps(x, x), _mm256_add_ps(x, _mm256_set1_ps(1.0f)));
+  const __m256i pow2n = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvttps_epi32(fx), _mm256_set1_epi32(127)), 23);
+  return _mm256_andnot_ps(under, _mm256_mul_ps(y, _mm256_castsi256_ps(pow2n)));
+}
+
+__attribute__((target("avx2,fma"))) inline float hmax_avx2(__m256 v) {
+  __m128 lo = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  lo = _mm_max_ps(lo, _mm_movehl_ps(lo, lo));
+  lo = _mm_max_ss(lo, _mm_shuffle_ps(lo, lo, 0x55));
+  return _mm_cvtss_f32(lo);
+}
+
+__attribute__((target("avx2,fma"))) inline float hsum_avx2(__m256 v) {
+  __m128 lo = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
+  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 0x55));
+  return _mm_cvtss_f32(lo);
+}
+
+__attribute__((target("avx2,fma"))) inline __m256 load8_avx2(const float* p) {
+  return _mm256_loadu_ps(p);
+}
+
+__attribute__((target("avx2,fma"))) inline __m256 load8_avx2(const std::int8_t* p) {
+  return _mm256_cvtepi32_ps(
+      _mm256_cvtepi8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+}
+
+// In-register 8x8 transpose: r[j] becomes column j of the input rows.
+__attribute__((target("avx2,fma"))) inline void transpose8_avx2(__m256* r) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+// AVX2 tile: K staged transposed ([d][position], codes as floats) so one
+// broadcast per head element and one FMA per 8 positions yield a query's
+// scores; int8 V
+// rows staged as floats, f32 V rows read in place. attend() runs in three
+// passes over the batch (scores, softmax, V), each a loop of independent
+// per-query chains the core can overlap.
+template <typename T>
+class Avx2AttnTile {
+  static_assert(kAttnTile % 8 == 0, "the AVX2 tile is whole 8-lane vectors");
+  static constexpr std::size_t kVecs = kAttnTile / 8;
+
+ public:
+  Avx2AttnTile(const KVChainView& kv, std::size_t head_dim)
+      : kv_(kv), keys_(chain_keys<T>(kv)), values_(chain_values<T>(kv)), hd_(head_dim) {
+    for (std::size_t i = 0; i < kAttnTile; ++i) lane_[i] = static_cast<float>(i);
+  }
+
+  __attribute__((target("avx2,fma"))) void stage(const std::size_t* phys, std::size_t nt,
+                                                 std::size_t col, float inv_sqrt_d) {
+    const T* krow[kAttnTile];
+    for (std::size_t i = 0; i < kAttnTile; ++i) {
+      krow[i] = i < nt ? keys_ + phys[i] * kv_.row_width + col : nullptr;
+      ks_[i] = i < nt ? row_scale(kv_.k_scales, phys[i]) * inv_sqrt_d : 0.0f;
+      vs_[i] = i < nt ? row_scale(kv_.v_scales, phys[i]) : 0.0f;
+    }
+    std::size_t d0 = 0;
+    for (; d0 + 8 <= hd_; d0 += 8) {
+      for (std::size_t h = 0; h < kAttnTile; h += 8) {
+        __m256 r[8];
+        for (std::size_t i = 0; i < 8; ++i) {
+          r[i] = h + i < nt ? load8_avx2(krow[h + i] + d0) : _mm256_setzero_ps();
+        }
+        transpose8_avx2(r);
+        for (std::size_t j = 0; j < 8; ++j) {
+          _mm256_store_ps(kt_ + (d0 + j) * kAttnTile + h, r[j]);
+        }
+      }
+    }
+    for (; d0 < hd_; ++d0) {
+      for (std::size_t i = 0; i < kAttnTile; ++i) {
+        kt_[d0 * kAttnTile + i] = i < nt ? static_cast<float>(krow[i][d0]) : 0.0f;
+      }
+    }
+    for (std::size_t i = 0; i < nt; ++i) {
+      const T* vrow = values_ + phys[i] * kv_.row_width + col;
+      if constexpr (std::is_same_v<T, float>) {
+        v_[i] = vrow;
+      } else {
+        float* staged = vt_ + i * hd_;
+        std::size_t d = 0;
+        for (; d + 8 <= hd_; d += 8) _mm256_storeu_ps(staged + d, load8_avx2(vrow + d));
+        for (; d < hd_; ++d) staged[d] = static_cast<float>(vrow[d]);
+        v_[i] = staged;
+      }
+    }
+  }
+
+  __attribute__((target("avx2,fma"))) void attend(const QueryBatch& batch, std::size_t p0) {
+    const std::size_t n = batch.n;
+    // Scores and tile maxima; lanes past a query's causal end read -inf.
+    const __m256 neg_inf = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* q = batch.q[j];
+      __m256 even[kVecs], odd[kVecs];
+      for (std::size_t h = 0; h < kVecs; ++h) even[h] = odd[h] = _mm256_setzero_ps();
+      for (std::size_t d = 0; d < hd_; d += 2) {  // head_dim is even
+        const __m256 q0 = _mm256_set1_ps(q[d]);
+        const __m256 q1 = _mm256_set1_ps(q[d + 1]);
+        for (std::size_t h = 0; h < kVecs; ++h) {
+          even[h] = _mm256_fmadd_ps(q0, _mm256_load_ps(kt_ + d * kAttnTile + 8 * h), even[h]);
+          odd[h] = _mm256_fmadd_ps(q1, _mm256_load_ps(kt_ + (d + 1) * kAttnTile + 8 * h),
+                                   odd[h]);
+        }
+      }
+      const __m256 valid =
+          _mm256_set1_ps(static_cast<float>(std::min(kAttnTile, batch.len[j] - p0)));
+      __m256 tmax = neg_inf;
+      for (std::size_t h = 0; h < kVecs; ++h) {
+        const __m256 past = _mm256_cmp_ps(_mm256_load_ps(lane_ + 8 * h), valid, _CMP_GE_OQ);
+        const __m256 s = _mm256_blendv_ps(
+            _mm256_mul_ps(_mm256_add_ps(even[h], odd[h]), _mm256_load_ps(ks_ + 8 * h)),
+            neg_inf, past);
+        _mm256_store_ps(s_ + j * kAttnTile + 8 * h, s);
+        tmax = _mm256_max_ps(tmax, s);
+      }
+      tmax_[j] = hmax_avx2(tmax);
+    }
+    // New running maxima and rescale factors, 8 queries per vector. The
+    // padding lanes past n only touch the batch's spare state entries.
+    std::fill_n(tmax_ + n, 8, 0.0f);
+    for (std::size_t j = 0; j < n; j += 8) {
+      const __m256 m_old = _mm256_loadu_ps(batch.m + j);
+      const __m256 m_new = _mm256_max_ps(m_old, _mm256_loadu_ps(tmax_ + j));
+      _mm256_storeu_ps(alpha_ + j, exp_avx2(_mm256_sub_ps(m_old, m_new)));
+      _mm256_storeu_ps(batch.m + j, m_new);
+    }
+    // Probabilities, running sums, and V weights with v_scale folded in.
+    for (std::size_t j = 0; j < n; ++j) {
+      const __m256 m = _mm256_set1_ps(batch.m[j]);
+      __m256 sum = _mm256_setzero_ps();
+      for (std::size_t h = 0; h < kVecs; ++h) {
+        const __m256 p = exp_avx2(_mm256_sub_ps(_mm256_load_ps(s_ + j * kAttnTile + 8 * h), m));
+        sum = _mm256_add_ps(sum, p);
+        _mm256_store_ps(w_ + j * kAttnTile + 8 * h, _mm256_mul_ps(p, _mm256_load_ps(vs_ + 8 * h)));
+      }
+      batch.l[j] = batch.l[j] * alpha_[j] + hsum_avx2(sum);
+    }
+    // Rescaled running outputs plus the tile's weighted V rows.
+    for (std::size_t j = 0; j < n; ++j) {
+      float* o = batch.o[j];
+      const float* w = w_ + j * kAttnTile;
+      const std::size_t valid = std::min(kAttnTile, batch.len[j] - p0);
+      const __m256 alpha = _mm256_set1_ps(alpha_[j]);
+      std::size_t d0 = 0;
+      for (; d0 + 8 <= hd_; d0 += 8) {
+        __m256 acc =
+            p0 == 0 ? _mm256_setzero_ps() : _mm256_mul_ps(_mm256_loadu_ps(o + d0), alpha);
+        for (std::size_t i = 0; i < valid; ++i) {
+          acc = _mm256_fmadd_ps(_mm256_set1_ps(w[i]), _mm256_loadu_ps(v_[i] + d0), acc);
+        }
+        _mm256_storeu_ps(o + d0, acc);
+      }
+      for (; d0 < hd_; ++d0) {
+        float acc = p0 == 0 ? 0.0f : o[d0] * alpha_[j];
+        for (std::size_t i = 0; i < valid; ++i) acc = std::fma(w[i], v_[i][d0], acc);
+        o[d0] = acc;
+      }
+    }
+  }
+
+ private:
+  const KVChainView& kv_;
+  const T* keys_;
+  const T* values_;
+  std::size_t hd_;
+  alignas(32) float kt_[kAttnMaxHeadDim * kAttnTile];
+  alignas(32) float vt_[kAttnTile * kAttnMaxHeadDim];
+  alignas(32) float ks_[kAttnTile];
+  alignas(32) float vs_[kAttnTile];
+  const float* v_[kAttnTile] = {};
+  alignas(32) float lane_[kAttnTile];  // 0, 1, 2, ...: position within the tile
+  // Per-query tile scratch.
+  alignas(32) float s_[kAttnQueries * kAttnTile];
+  alignas(32) float w_[kAttnQueries * kAttnTile];
+  float tmax_[kAttnQueries + 8];
+  float alpha_[kAttnQueries + 8];
+};
+
+template <typename T>
+__attribute__((target("avx2,fma"))) void attend_rows_avx2(
+    const float* q, float* out, std::size_t row_stride, std::size_t rows, std::size_t first,
+    std::size_t n_heads, std::size_t n_kv_heads, std::size_t head_dim,
+    const KVChainView& kv) {
+  attend_tiled<Avx2AttnTile<T>>(q, out, row_stride, rows, first, n_heads, n_kv_heads,
+                                head_dim, kv);
+}
+#endif  // ORINSIM_SIMD_X86
+
+template <typename T>
+void attend_rows_scalar(const float* q, float* out, std::size_t row_stride, std::size_t rows,
+                        std::size_t first, std::size_t n_heads, std::size_t n_kv_heads,
+                        std::size_t head_dim, const KVChainView& kv) {
+  attend_tiled<ScalarAttnTile<T>>(q, out, row_stride, rows, first, n_heads, n_kv_heads,
+                                  head_dim, kv);
+}
+
+}  // namespace
+
+void attend_rows(const float* q, float* out, std::size_t row_stride, std::size_t rows,
+                 std::size_t first, std::size_t n_heads, std::size_t n_kv_heads,
+                 std::size_t head_dim, const KVChainView& kv) {
+  ORINSIM_CHECK(n_kv_heads > 0 && n_heads % n_kv_heads == 0 &&
+                    n_heads / n_kv_heads <= kAttnQueries,
+                "attend_rows: n_heads must be a multiple of n_kv_heads, at most 64 per KV head");
+  ORINSIM_CHECK(head_dim > 0 && head_dim % 2 == 0 && head_dim <= kAttnMaxHeadDim,
+                "attend_rows: head_dim must be even and at most 256");
+  ORINSIM_CHECK(n_heads * head_dim <= row_stride && n_kv_heads * head_dim <= kv.row_width,
+                "attend_rows: heads exceed the row width");
+  ORINSIM_CHECK((kv.k != nullptr) != (kv.k_codes != nullptr) && kv.block_rows > 0,
+                "attend_rows: the chain view needs exactly one storage");
+  if (rows == 0) return;
+  const bool int8 = kv.k_codes != nullptr;
+#if ORINSIM_SIMD_X86
+  if (active_level() == Level::kNative) {
+    (int8 ? attend_rows_avx2<std::int8_t> : attend_rows_avx2<float>)(
+        q, out, row_stride, rows, first, n_heads, n_kv_heads, head_dim, kv);
+    return;
+  }
+#endif
+  (int8 ? attend_rows_scalar<std::int8_t> : attend_rows_scalar<float>)(
+      q, out, row_stride, rows, first, n_heads, n_kv_heads, head_dim, kv);
 }
 
 double fma_probe_flops(std::size_t iters) {

@@ -124,6 +124,60 @@ void dot_i4_i8_multi_ref(const std::uint8_t* w_packed, const float* scales,
 void gemm_nt_f32(const float* x, const float* w, float* y, std::size_t tokens,
                  std::size_t k, std::size_t rows);
 
+// ---------------------------------------------------------------------------
+// Fused causal attention over a paged KV chain.
+
+// Positions per attention tile. Tiles are anchored at absolute position 0
+// and never follow the cache's block size, so a query's float sequence
+// depends only on its own causal length.
+inline constexpr std::size_t kAttnTile = 16;
+
+// Read-only view of one sequence's K/V rows in one layer. Positions map onto
+// a chain of blocks of `block_rows` rows each: position p is physical row
+// blocks[p / block_rows] * block_rows + p % block_rows, and each row holds
+// `row_width` elements (every KV head's vector). Exactly one storage is set:
+// f32 rows (k, v) or int8 codes (k_codes, v_codes) with one absmax scale per
+// physical row (k_scales, v_scales). Valid while the cache is not written.
+struct KVChainView {
+  const std::size_t* blocks = nullptr;
+  std::size_t block_rows = 0;
+  std::size_t row_width = 0;
+  const float* k = nullptr;
+  const float* v = nullptr;
+  const std::int8_t* k_codes = nullptr;
+  const std::int8_t* v_codes = nullptr;
+  const float* k_scales = nullptr;
+  const float* v_scales = nullptr;
+
+  // Physical row of position p.
+  std::size_t row(std::size_t p) const {
+    return blocks[p / block_rows] * block_rows + p % block_rows;
+  }
+};
+
+// Causal multi-head attention for `rows` consecutive positions of one
+// sequence. q and out are row-major [rows, row_stride]; head h occupies
+// columns [h * head_dim, (h + 1) * head_dim). Row t sits at position
+// first + t and attends to positions [0, first + t] of `kv`, whose rows
+// already hold every one of those positions. Query head h reads KV head
+// h / (n_heads / n_kv_heads) (grouped-query attention, at most 64 query
+// heads per KV head; head_dim even and at most 256).
+//
+// Per KV head, every (row, query head) of its group shares each K/V tile.
+// Scores come straight from the stored rows (int8: k_scale[p] * sum q*code,
+// with k_scale[p] folded into the score and v_scale[p] into the probability
+// weight, so no float copy of the prefix is made), and a single-pass online
+// softmax keeps a running max, sum and output per query vector.
+//
+// Numerics: a query's arithmetic depends only on its own q, its causal
+// length and the cache contents — never on `rows`, `first`, the block size
+// or the other queries — so a row computed alone equals the same row inside
+// any run, bit for bit, at both levels. kScalar runs the same tiled
+// algorithm with plain loops and std::exp; kNative uses a vectorized exp.
+void attend_rows(const float* q, float* out, std::size_t row_stride, std::size_t rows,
+                 std::size_t first, std::size_t n_heads, std::size_t n_kv_heads,
+                 std::size_t head_dim, const KVChainView& kv);
+
 // Roofline probe: runs `iters` iterations of 8 independent register-resident
 // fused multiply-add chains (8-lane AVX2/FMA when the CPU has it, scalar
 // std::fma otherwise) and returns the number of FLOPs executed. The bench

@@ -19,7 +19,7 @@ TEST(BlockAllocatorTest, HandsOutBlockZeroFirst) {
   EXPECT_EQ(a.block_bytes(), 128u);
   EXPECT_EQ(a.free_blocks(), 4u);
   // Ascending handout keeps a single growing sequence physically contiguous
-  // (the zero-copy key_rows fast path depends on this).
+  // (attention then reads its block chain in address order).
   EXPECT_EQ(a.alloc(), 0u);
   EXPECT_EQ(a.alloc(), 1u);
   EXPECT_EQ(a.alloc(), 2u);

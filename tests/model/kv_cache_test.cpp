@@ -250,36 +250,67 @@ TEST(KVCacheTest, AppendManyBeyondCapacityRejected) {
   EXPECT_THROW(cache.append_many(0, 0, rows, rows, 3), ContractViolation);
 }
 
-TEST(KVCacheTest, KeyRowsValueRowsMatchPerPositionReads) {
+TEST(KVCacheTest, ChainViewMatchesPerPositionReads) {
+  // The attention kernel's in-place view of a sequence's rows: for every
+  // position (including one staged but not committed), the row it maps to
+  // holds exactly what key()/value() read, for both storages, both layouts
+  // and block sizes that do and do not divide the kernel tile. Two sequences
+  // append in turns, so a paged chain's blocks are not consecutive.
   const auto cfg = tiny_config();
   const std::size_t kv = cfg.kv_dim();
-  const std::size_t count = 4;
+  const std::size_t count = 11;
   const auto ks = ramp_rows(count, kv, 2.0f);
   const auto vs = ramp_rows(count, kv, -3.0f);
-
+  struct Case {
+    KVLayout layout;
+    std::size_t block_tokens;
+  };
   for (KVStorage storage : {KVStorage::kF32, KVStorage::kI8}) {
-    KVCache cache(cfg, 1, 8, storage);
-    for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-      cache.append_many(l, 0, ks, vs, count);
-    }
-    cache.commit(0, count);
+    for (Case layout : {Case{KVLayout::kDense, 16}, Case{KVLayout::kPaged, 1},
+                        Case{KVLayout::kPaged, 4}, Case{KVLayout::kPaged, 16}}) {
+      KVCacheOptions opt;
+      opt.storage = storage;
+      opt.layout = layout.layout;
+      opt.block_tokens = layout.block_tokens;
+      KVCache cache(cfg, 2, 16, opt);
+      for (std::size_t p = 0; p < count; ++p) {
+        for (std::size_t b = 0; b < 2; ++b) {
+          for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+            cache.append_many(l, b, std::span<const float>(ks).subspan(p * kv, kv),
+                              std::span<const float>(vs).subspan(p * kv, kv), 1);
+          }
+          if (p + 1 < count || b == 1) cache.commit(b);  // seq 0 keeps its last row staged
+        }
+      }
+      ASSERT_EQ(cache.seq_len(0), count - 1);
 
-    std::vector<float> block(count * kv), scratch(kv);
-    for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-      const auto krows = cache.key_rows(l, 0, count, block);
-      for (std::size_t p = 0; p < count; ++p) {
-        const auto kref = cache.key(l, 0, p, scratch);
-        for (std::size_t i = 0; i < kv; ++i) {
-          EXPECT_EQ(krows[p * kv + i], kref[i]) << "l=" << l << " p=" << p;
+      std::vector<float> scratch(kv);
+      for (std::size_t b = 0; b < 2; ++b) {
+        for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+          const simd::KVChainView view = cache.chain(l, b, count);
+          ASSERT_EQ(view.row_width, kv);
+          for (std::size_t p = 0; p < count; ++p) {
+            const std::size_t r = view.row(p);
+            const auto kref = cache.key(l, b, p, scratch);
+            for (std::size_t i = 0; i < kv; ++i) {
+              const float got = storage == KVStorage::kF32
+                                    ? view.k[r * kv + i]
+                                    : static_cast<float>(view.k_codes[r * kv + i]) *
+                                          view.k_scales[r];
+              EXPECT_EQ(got, kref[i]) << "b=" << b << " l=" << l << " p=" << p;
+            }
+            const auto vref = cache.value(l, b, p, scratch);
+            for (std::size_t i = 0; i < kv; ++i) {
+              const float got = storage == KVStorage::kF32
+                                    ? view.v[r * kv + i]
+                                    : static_cast<float>(view.v_codes[r * kv + i]) *
+                                          view.v_scales[r];
+              EXPECT_EQ(got, vref[i]) << "b=" << b << " l=" << l << " p=" << p;
+            }
+          }
         }
       }
-      const auto vrows = cache.value_rows(l, 0, count, block);
-      for (std::size_t p = 0; p < count; ++p) {
-        const auto vref = cache.value(l, 0, p, scratch);
-        for (std::size_t i = 0; i < kv; ++i) {
-          EXPECT_EQ(vrows[p * kv + i], vref[i]) << "l=" << l << " p=" << p;
-        }
-      }
+      EXPECT_THROW(cache.chain(0, 0, count + 1), ContractViolation);
     }
   }
 }

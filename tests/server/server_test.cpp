@@ -273,6 +273,49 @@ TEST_F(ServerE2ETest, NonStreamingResponseMatchesOfflineEngine) {
   EXPECT_DOUBLE_EQ(v.find("usage")->find("completion_tokens")->as_number(), 8.0);
 }
 
+// A functional backend that holds its first admitted request in the engine:
+// the first prefill waits until every client has sent its request, and each
+// decode step takes at least kStepFloor. The engine host runs every backend
+// call under the lock its submit() takes, so the hold cannot wait for the
+// other clients' answers themselves; it waits for their requests to be on
+// the wire and then leaves the accepted request decoding for tens of
+// milliseconds, however fast the model is, while their submissions arrive.
+class HoldingBackend : public serving::TokenBackend {
+ public:
+  static constexpr std::chrono::milliseconds kStepFloor{2};
+
+  HoldingBackend(serving::TokenBackend& inner, const std::atomic<int>& sent, int clients)
+      : inner_(inner), sent_(sent), clients_(clients) {}
+
+  std::size_t max_lanes() const override { return inner_.max_lanes(); }
+  bool try_admit(serving::Request& req) override { return inner_.try_admit(req); }
+  serving::StepCost prefill(const std::vector<serving::Request*>& admitted,
+                            std::size_t active_after) override {
+    if (!held_) {
+      held_ = true;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (sent_.load() < clients_ && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return inner_.prefill(admitted, active_after);
+  }
+  bool try_extend(serving::Request& req) override { return inner_.try_extend(req); }
+  serving::StepCost decode_step(const std::vector<serving::Request*>& active) override {
+    std::this_thread::sleep_for(kStepFloor);
+    return inner_.decode_step(active);
+  }
+  void release(serving::Request& req) override { inner_.release(req); }
+  KVUsage kv_usage() const override { return inner_.kv_usage(); }
+  std::string name() const override { return "holding"; }
+
+ private:
+  serving::TokenBackend& inner_;
+  const std::atomic<int>& sent_;
+  const int clients_;
+  bool held_ = false;
+};
+
 TEST_F(ServerE2ETest, QueueCapOverflowAnswers429) {
   auto backend = make_backend(false);
   // One lane, queue of one: with several concurrent requests, later
@@ -282,11 +325,14 @@ TEST_F(ServerE2ETest, QueueCapOverflowAnswers429) {
   bc.max_seq = config_.max_seq;
   serving::FunctionalTokenBackend tight_backend(*model_, bc, nullptr);
 
+  constexpr int kClients = 6;
+  std::atomic<int> sent{0};
+  HoldingBackend holding_backend(tight_backend, sent, kClients);
+
   EngineHost::Config host_config;
   host_config.queue_cap = 1;
-  LiveServer live(tight_backend, tokenizer_, config_.max_seq, host_config);
+  LiveServer live(holding_backend, tokenizer_, config_.max_seq, host_config);
 
-  constexpr int kClients = 6;
   std::atomic<int> ok{0};
   std::atomic<int> rejected{0};
   std::atomic<int> other{0};
@@ -294,10 +340,19 @@ TEST_F(ServerE2ETest, QueueCapOverflowAnswers429) {
   clients.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i]() {
-      const Response r = roundtrip(
-          live.server.port(),
-          completion_request("the history of the region " + std::to_string(i),
-                             24, true));
+      const int fd = connect_to(live.server.port());
+      EXPECT_GE(fd, 0);
+      if (fd < 0) {
+        ++sent;
+        ++other;
+        return;
+      }
+      EXPECT_TRUE(send_bytes(
+          fd, completion_request("the history of the region " + std::to_string(i), 24,
+                                 true)));
+      ++sent;
+      const Response r = split_response(read_to_eof(fd));
+      ::close(fd);
       if (r.status == 200) {
         ++ok;
       } else if (r.status == 429) {

@@ -1,10 +1,11 @@
 // Microbench for the parallel batched-decode hot path: an 8-lane greedy
 // batch on the functional nano engine, decoded serially and then with
-// Model::generate sharding lanes across a ThreadPool. Outputs must be
-// bit-identical (the engine serializes sampling in lane order); only the
-// wall-clock changes. The acceptance bar — >= 2x decode tokens/s at 8
-// workers — assumes a multi-core host; on a single-core container the
-// speedup column reports ~1x and the bit-identity check still runs.
+// Model::generate sharding lanes across a ThreadPool of --workers workers
+// (0, the default: hardware_concurrency threads counting the caller). The
+// serial run is one thread end to end; the pooled run's kernels run inline
+// inside each lane shard, and its lm_head shards rows over the pool. Outputs
+// must be bit-identical (the engine serializes sampling in lane order); only
+// the wall-clock changes.
 //
 // A second section compares serving policies on the same functional engine:
 // the paper's static batching (batch runs to completion) against the
@@ -27,7 +28,7 @@
 // --strict the rounds must deliver >= 1.3x decode tok/s at >= 80%
 // acceptance.
 //
-//   bench_decode_throughput [--lanes=8] [--workers=8] [--new-tokens=64]
+//   bench_decode_throughput [--lanes=8] [--workers=0] [--new-tokens=64]
 //                           [--family=llama3] [--serving-requests=24] [--csv]
 //                           [--strict]
 #include <algorithm>
@@ -121,7 +122,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const bool csv = args.get_bool("csv", false);
   const std::size_t lanes = static_cast<std::size_t>(args.get_int("lanes", 8));
-  const std::size_t workers = static_cast<std::size_t>(args.get_int("workers", 8));
+  const std::size_t workers = static_cast<std::size_t>(args.get_int("workers", 0));
   const std::size_t new_tokens =
       static_cast<std::size_t>(args.get_int("new-tokens", 64));
   const std::string family = args.get("family", "llama3");
@@ -153,12 +154,12 @@ int main(int argc, char** argv) {
       {DType::kF16, KVStorage::kF32, "fp16", "fp32"},
       {DType::kI8, KVStorage::kI8, "int8", "int8"},
   };
+  ThreadPool decode_pool(workers);
   for (const Case& c : cases) {
     Model model(master, c.dtype, c.kv);
     run_once(model, prompts, new_tokens, nullptr);  // warm-up
     const RunStats serial = run_once(model, prompts, new_tokens, nullptr);
-    ThreadPool pool(workers);
-    const RunStats parallel = run_once(model, prompts, new_tokens, &pool);
+    const RunStats parallel = run_once(model, prompts, new_tokens, &decode_pool);
     const bool identical = serial.outputs == parallel.outputs;
     all_identical = all_identical && identical;
     table.new_row()
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
   }
   std::fputs((csv ? table.to_csv() : table.to_markdown()).c_str(), stdout);
   std::printf("\nParallel decode shards lanes across %zu workers with one workspace\n",
-              workers);
+              decode_pool.size());
   std::printf("per shard; sampling is replayed serially in lane order, so the token\n");
   std::printf("streams above must match the serial run exactly.\n");
   if (!all_identical) {

@@ -3,14 +3,17 @@
 // whose efficiency the simulator's calibrated constants summarize).
 //
 // `bench_kernels --roofline-json[=path]` switches to the roofline tracker:
-// it measures this host's peak FMA GFLOP/s (simd::fma_probe_flops across all
-// OpenMP threads) and peak streaming GB/s, then times each weight-streaming
-// kernel and reports measured GB/s, GFLOP/s, arithmetic intensity, the
-// roofline ceiling min(peak_flops, AI * peak_bw), and the fraction of that
-// ceiling actually reached — the per-kernel efficiency numbers CI archives
-// as a JSON artifact. The fused attention kernel's rows also report
-// ns_per_query_pos, its cost per (query vector, position) pair. All other
-// arguments run google-benchmark as before.
+// it measures this host's peak FMA GFLOP/s (simd::fma_probe_flops) and peak
+// streaming GB/s on one thread and on a ThreadPool of hardware_concurrency
+// threads, then times each kernel and reports measured GB/s, GFLOP/s,
+// arithmetic intensity, the roofline ceiling min(peak_flops, AI * peak_bw)
+// at the kernel's own thread count, and the fraction of that ceiling
+// actually reached — the per-kernel efficiency numbers CI archives as a JSON
+// artifact. The weight-streaming matvecs run row-sharded on the pool;
+// dot_f32 and the fused attention kernel run on one thread, and the
+// attention rows also report ns_per_query_pos, their cost per (query
+// vector, position) pair. All other arguments run google-benchmark as
+// before.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include "core/cli.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
+#include "core/thread_pool.h"
 #include "quant/quantize.h"
 #include "quant/weight_matrix.h"
 #include "tensor/kernels.h"
@@ -141,7 +145,18 @@ struct RooflinePoint {
   double flops_per_iter = 0.0;
   double seconds_per_iter = 0.0;
   double query_positions = 0.0;  // attention rows: (query vector, position) pairs per call
+  std::size_t threads = 1;       // threads the kernel ran on (selects the ceiling)
 };
+
+// Runs fn(shard, i) for i in [0, n): across the pool, or serially on shard 0.
+template <typename Fn>
+void for_shards(ThreadPool* pool, std::size_t n, const Fn& fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(std::size_t{0}, i);
+  } else {
+    pool->parallel_for(0, n, fn);
+  }
+}
 
 
 // Times fn for ~min_time seconds and returns the best observed seconds/iter
@@ -163,45 +178,49 @@ double time_kernel(Fn&& fn, double min_time = 0.05) {
   return best;
 }
 
-// Peak FMA throughput: every OpenMP thread runs the register-resident probe
-// chain; total FLOPs / wall time. Best of many short repeats.
-double measure_peak_gflops() {
+// Peak FMA throughput: each of the pool's threads (one without a pool) runs
+// the register-resident probe chain; total FLOPs / wall time. Best of many
+// short repeats.
+double measure_peak_gflops(ThreadPool* pool) {
   const std::size_t iters = 1 << 21;
+  const std::size_t threads = row_shards(pool);
   double best = 0.0;
   for (int rep = 0; rep < 10; ++rep) {
-    double flops = 0.0;
+    std::vector<double> flops(threads, 0.0);
     Stopwatch watch;
-#pragma omp parallel reduction(+ : flops)
-    { flops += simd::fma_probe_flops(iters); }
-    best = std::max(best, flops / watch.elapsed_s());
+    for_shards(pool, threads, [&](std::size_t shard, std::size_t) {
+      flops[shard] += simd::fma_probe_flops(iters);
+    });
+    double total = 0.0;
+    for (double f : flops) total += f;
+    best = std::max(best, total / watch.elapsed_s());
   }
   return best / 1e9;
 }
 
-// Peak streaming bandwidth: all threads stream chunks of two buffers far
-// larger than the last-level cache through simd::dot_f32 (multiple
-// independent accumulator chains — a plain scalar float sum is a latency
-// chain that caps out far below memory bandwidth). Two distinct streams
-// match the access pattern of the weight-streaming kernels.
-double measure_peak_gbps() {
+// Peak streaming bandwidth: the pool's threads (one without a pool) stream
+// chunks of two buffers far larger than the last-level cache through
+// simd::dot_f32 (multiple independent accumulator chains — a plain scalar
+// float sum is a latency chain that caps out far below memory bandwidth).
+// Two distinct streams match the access pattern of the weight-streaming
+// kernels.
+double measure_peak_gbps(ThreadPool* pool) {
   const std::size_t n = 16u << 20;  // 2 x 64 MiB of floats
   std::vector<float> a(n, 1.0f), b(n, 1.0f);
-  const std::ptrdiff_t chunks = 64;
-  const std::size_t chunk = n / static_cast<std::size_t>(chunks);
+  const std::size_t chunks = 64;
+  const std::size_t chunk = n / chunks;
   double best = 0.0;
   volatile float sink = 0.0f;
   // Many short passes: on shared hosts the best-of statistic needs enough
   // samples to dodge steal time, like time_kernel's repeats do.
   for (int rep = 0; rep < 10; ++rep) {
+    std::vector<float> sums(row_shards(pool), 0.0f);
     Stopwatch watch;
-    float sum = 0.0f;
-#pragma omp parallel for reduction(+ : sum)
-    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
-      const std::size_t at = static_cast<std::size_t>(c) * chunk;
-      sum += simd::dot_f32(a.data() + at, b.data() + at, chunk);
-    }
+    for_shards(pool, chunks, [&](std::size_t shard, std::size_t c) {
+      sums[shard] += simd::dot_f32(a.data() + c * chunk, b.data() + c * chunk, chunk);
+    });
     best = std::max(best, 2.0 * static_cast<double>(n) * sizeof(float) / watch.elapsed_s());
-    sink = sink + sum;
+    for (float v : sums) sink = sink + v;
   }
   (void)sink;
   return best / 1e9;
@@ -273,8 +292,17 @@ void add_attention_points(std::vector<RooflinePoint>& points) {
 
 int run_roofline(const std::string& json_path) {
   const simd::Level level = simd::init();
-  const double peak_gbps = measure_peak_gbps();
-  const double peak_gflops = measure_peak_gflops();
+  // Its workers plus the calling thread: hardware_concurrency threads.
+  ThreadPool pool(0);
+  struct Peak {
+    std::size_t threads;
+    double gflops, gbps;
+  };
+  const Peak peaks[] = {
+      {1, measure_peak_gflops(nullptr), measure_peak_gbps(nullptr)},
+      {pool.shard_count(), measure_peak_gflops(&pool), measure_peak_gbps(&pool)},
+  };
+  auto peak_at = [&](std::size_t threads) { return threads == 1 ? peaks[0] : peaks[1]; };
 
   // 4096x4096 so even the INT4 storage (~8 MiB) streams past the LLC —
   // cache-resident weights would report GB/s above the DRAM roof.
@@ -296,15 +324,17 @@ int run_roofline(const std::string& json_path) {
     single.name = "matvec_" + dtype_name(dt);
     single.bytes_per_iter = wbytes + (in_f + out_f) * sizeof(float);
     single.flops_per_iter = 2.0 * static_cast<double>(out_f) * static_cast<double>(in_f);
-    single.seconds_per_iter = time_kernel([&] { wm.matvec(x1, y1); });
+    single.threads = pool.shard_count();
+    single.seconds_per_iter = time_kernel([&] { wm.matvec(x1, y1, &pool); });
     points.push_back(single);
 
     RooflinePoint multi;
     multi.name = "matvec_multi8_" + dtype_name(dt);
     multi.bytes_per_iter = wbytes + lanes * (in_f + out_f) * sizeof(float);
     multi.flops_per_iter = single.flops_per_iter * static_cast<double>(lanes);
+    multi.threads = pool.shard_count();
     quant::ActivationBatchInt8 act;
-    multi.seconds_per_iter = time_kernel([&] { wm.matvec_multi(x, y, lanes, act); });
+    multi.seconds_per_iter = time_kernel([&] { wm.matvec_multi(x, y, lanes, act, &pool); });
     points.push_back(multi);
   }
   {
@@ -322,26 +352,35 @@ int run_roofline(const std::string& json_path) {
   }
   add_attention_points(points);
 
-  std::printf("== Kernel roofline: %s kernels, peak %.1f GFLOP/s, %.1f GB/s ==\n",
-              simd::level_name(level), peak_gflops, peak_gbps);
-  std::printf("| %-18s | %9s | %9s | %6s | %9s | %6s | %s |\n", "Kernel", "GB/s",
-              "GFLOP/s", "AI", "Roof GF/s", "% roof", "Bound");
-  std::printf("|--------------------|-----------|-----------|--------|-----------|--------|---------|\n");
+  std::printf("== Kernel roofline: %s kernels ==\n", simd::level_name(level));
   std::string json = "{\n  \"machine\": {\"kernels\": \"";
   json += simd::level_name(level);
-  json += "\", \"peak_gflops\": " + std::to_string(peak_gflops);
-  json += ", \"peak_gbps\": " + std::to_string(peak_gbps) + "},\n  \"kernels\": [\n";
+  json += "\", \"peaks\": [";
+  for (const Peak& pk : peaks) {
+    std::printf("peak at %zu thread(s): %.1f GFLOP/s, %.1f GB/s\n", pk.threads, pk.gflops,
+                pk.gbps);
+    json += std::string(&pk == peaks ? "" : ", ") + "{\"threads\": " +
+            std::to_string(pk.threads) + ", \"peak_gflops\": " + std::to_string(pk.gflops) +
+            ", \"peak_gbps\": " + std::to_string(pk.gbps) + "}";
+  }
+  json += "]},\n  \"kernels\": [\n";
+  std::printf("\n| %-18s | %3s | %9s | %9s | %6s | %9s | %6s | %s |\n", "Kernel", "Thr",
+              "GB/s", "GFLOP/s", "AI", "Roof GF/s", "% roof", "Bound");
+  std::printf("|--------------------|-----|-----------|-----------|--------|-----------|"
+              "--------|---------|\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const RooflinePoint& p = points[i];
+    const Peak pk = peak_at(p.threads);
     const double gbps = p.bytes_per_iter / p.seconds_per_iter / 1e9;
     const double gflops = p.flops_per_iter / p.seconds_per_iter / 1e9;
     const double ai = p.flops_per_iter / p.bytes_per_iter;
-    const double roof = std::min(peak_gflops, ai * peak_gbps);
+    const double roof = std::min(pk.gflops, ai * pk.gbps);
     const double pct = 100.0 * gflops / roof;
-    const char* bound = ai * peak_gbps < peak_gflops ? "memory" : "compute";
-    std::printf("| %-18s | %9.2f | %9.2f | %6.2f | %9.2f | %5.1f%% | %-7s |\n",
-                p.name.c_str(), gbps, gflops, ai, roof, pct, bound);
+    const char* bound = ai * pk.gbps < pk.gflops ? "memory" : "compute";
+    std::printf("| %-18s | %3zu | %9.2f | %9.2f | %6.2f | %9.2f | %5.1f%% | %-7s |\n",
+                p.name.c_str(), p.threads, gbps, gflops, ai, roof, pct, bound);
     json += "    {\"name\": \"" + p.name + "\"";
+    json += ", \"threads\": " + std::to_string(p.threads);
     json += ", \"bytes_per_iter\": " + std::to_string(p.bytes_per_iter);
     json += ", \"flops_per_iter\": " + std::to_string(p.flops_per_iter);
     json += ", \"seconds_per_iter\": " + std::to_string(p.seconds_per_iter);
@@ -360,10 +399,11 @@ int run_roofline(const std::string& json_path) {
     json += i + 1 < points.size() ? ",\n" : "\n";
   }
   json += "  ]\n}\n";
-  std::printf("\nRoof = min(peak FLOP/s, AI x peak GB/s); %% roof is the measured\n");
-  std::printf("fraction of that ceiling. Weight-streaming matvecs sit on the memory\n");
-  std::printf("slope; FLOPs are counted fp32-equivalent, so INT8/INT4 maddubs\n");
-  std::printf("kernels can legitimately land near or above the fp32 FMA roof.\n");
+  std::printf("\nRoof = min(peak FLOP/s, AI x peak GB/s) at the kernel's thread count\n");
+  std::printf("(Thr); %% roof is the measured fraction of that ceiling. Weight-streaming\n");
+  std::printf("matvecs sit on the memory slope; FLOPs are counted fp32-equivalent, so\n");
+  std::printf("INT8/INT4 maddubs kernels can legitimately land near or above the fp32\n");
+  std::printf("FMA roof.\n");
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {

@@ -13,6 +13,10 @@
 // chunked prefill at the native level must reach >= 6x the seed's scalar
 // token-at-a-time path (the nibble-unpack microkernel acceptance bar).
 //
+// The native columns shard kernel rows over a ThreadPool(0), which runs on
+// hardware_concurrency threads (the engine's one source of kernel threads);
+// the scalar columns run on one thread.
+//
 //   bench_prefill_throughput [--prompt=256] [--chunk=32] [--repeats=2] [--csv]
 //                            [--strict]
 #include <cstdio>
@@ -23,6 +27,7 @@
 #include "core/cli.h"
 #include "core/stopwatch.h"
 #include "core/table.h"
+#include "core/thread_pool.h"
 #include "core/units.h"
 #include "model/transformer.h"
 #include "tensor/simd.h"
@@ -52,18 +57,22 @@ struct RunResult {
   std::vector<float> hidden;
 };
 
-// Prefill `prompt` into a fresh cache; best-of-`repeats` tokens/s.
+// Prefill `prompt` into a fresh cache, kernel rows sharded over `pool`
+// (null: one thread); best-of-`repeats` tokens/s.
 RunResult run_prefill(Model& model, const std::vector<TokenId>& prompt,
-                      std::size_t chunk, simd::Level level, std::size_t repeats) {
+                      std::size_t chunk, simd::Level level, std::size_t repeats,
+                      ThreadPool* pool = nullptr) {
   simd::set_level(level);
   model.set_prefill_chunk(chunk);
+  InferenceWorkspace ws(model.config());
+  ws.pool = pool;
   RunResult r;
   r.hidden.resize(model.config().d_model);
   double best_s = 0.0;
   for (std::size_t i = 0; i < repeats; ++i) {
     KVCache cache(model.config(), 1, prompt.size());
     Stopwatch watch;
-    model.prefill(prompt, 0, cache, r.hidden);
+    model.prefill(prompt, 0, cache, r.hidden, ws);
     const double s = watch.elapsed_s();
     if (i == 0 || s < best_s) best_s = s;
   }
@@ -101,7 +110,9 @@ int main(int argc, char** argv) {
 
   std::printf("== Chunked prefill throughput: %s, %zu-token prompt, chunk %zu ==\n",
               cfg.name.c_str(), prompt_len, chunk);
-  std::printf("native kernels: %s\n\n", have_native ? "avx2+fma" : "unavailable");
+  ThreadPool pool(0);
+  std::printf("native kernels: %s, on a pool of %zu threads\n\n",
+              have_native ? "avx2+fma" : "unavailable", pool.shard_count());
 
   Table table({"Dtype", "Token@scalar t/s", "Chunk@scalar t/s", "Token@native t/s",
                "Chunk@native t/s", "Headline", "Bit-identical"});
@@ -131,8 +142,8 @@ int main(int argc, char** argv) {
         run_prefill(model, prompt, chunk, simd::Level::kScalar, repeats);
     RunResult token_native, chunk_native;
     if (have_native) {
-      token_native = run_prefill(model, prompt, 1, simd::Level::kNative, repeats);
-      chunk_native = run_prefill(model, prompt, chunk, simd::Level::kNative, repeats);
+      token_native = run_prefill(model, prompt, 1, simd::Level::kNative, repeats, &pool);
+      chunk_native = run_prefill(model, prompt, chunk, simd::Level::kNative, repeats, &pool);
     }
 
     const bool identical = bitwise_equal(token_scalar.hidden, chunk_scalar.hidden);

@@ -1,6 +1,7 @@
 #include "core/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <memory>
 
@@ -8,9 +9,30 @@
 
 namespace orinsim {
 
+namespace {
+
+// How long an idle worker, or a caller waiting for its helpers, polls before
+// blocking. parallel_for calls arrive in bursts (one per kernel of a forward
+// pass, a few tens of microseconds apart), and a futex sleep/wake round trip
+// per helper would cost as much as a small kernel.
+constexpr std::chrono::microseconds kSpin{50};
+
+// Polls done() for up to kSpin, yielding the CPU between polls.
+template <typename Pred>
+bool spin_until(const Pred& done) {
+  const auto until = std::chrono::steady_clock::now() + kSpin;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    threads = std::max<std::size_t>(2, std::thread::hardware_concurrency()) - 1;
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -29,13 +51,16 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> task) {
   ORINSIM_CHECK(task != nullptr, "submit: null task");
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ORINSIM_CHECK(!stop_, "submit after shutdown");
     queue_.push_back(std::move(task));
+    queued_.fetch_add(1, std::memory_order_release);
     ++in_flight_;
+    wake = sleeping_ > 0;  // a spinning worker finds the task without a wake
   }
-  cv_task_.notify_one();
+  if (wake) cv_task_.notify_one();
 }
 
 void ThreadPool::wait_idle() {
@@ -45,11 +70,16 @@ void ThreadPool::wait_idle() {
 
 namespace {
 
+// The pool whose fanned-out parallel_for index the current thread is
+// running, if any: a nested call on that pool runs inline.
+thread_local const ThreadPool* tls_fanout_pool = nullptr;
+
 // Shared between the caller and the helper shards it submits. Owned by
 // shared_ptr so a helper that is still queued when the caller returns (all
 // indices already drained) runs harmlessly against live state and frees it
 // when the last reference drops.
 struct ParallelForState {
+  const ThreadPool* pool = nullptr;
   std::function<void(std::size_t, std::size_t)> fn;
   std::atomic<std::size_t> next{0};
   std::size_t end = 0;
@@ -61,6 +91,8 @@ struct ParallelForState {
 };
 
 void run_shard(const std::shared_ptr<ParallelForState>& st, std::size_t shard) {
+  const ThreadPool* const outer = tls_fanout_pool;
+  tls_fanout_pool = st->pool;
   for (;;) {
     const std::size_t i = st->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= st->end) break;
@@ -77,6 +109,7 @@ void run_shard(const std::shared_ptr<ParallelForState>& st, std::size_t shard) {
       st->cv.notify_all();
     }
   }
+  tls_fanout_pool = outer;
 }
 
 }  // namespace
@@ -91,7 +124,20 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   ORINSIM_CHECK(fn != nullptr, "parallel_for: null body");
+  if (end - begin == 1 || tls_fanout_pool == this) {
+    std::exception_ptr first_error;
+    for (std::size_t i = begin; i < end; ++i) {
+      try {
+        fn(0, i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+    return;
+  }
   auto st = std::make_shared<ParallelForState>();
+  st->pool = this;
   st->fn = fn;  // copied: queued helpers may outlive the caller's frame
   st->next.store(begin, std::memory_order_relaxed);
   st->end = end;
@@ -107,6 +153,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // Wait on index completion, not helper completion: helpers stuck in the
   // queue (e.g. behind the caller's own task in a nested call) are not
   // needed once every index has been claimed and finished.
+  spin_until([&] { return st->completed.load(std::memory_order_acquire) == st->total; });
   std::unique_lock<std::mutex> lock(st->mutex);
   st->cv.wait(lock, [&] {
     return st->completed.load(std::memory_order_acquire) == st->total;
@@ -116,13 +163,17 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 
 void ThreadPool::worker_loop() {
   for (;;) {
+    spin_until([this] { return queued_.load(std::memory_order_acquire) > 0; });
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      ++sleeping_;
       cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      --sleeping_;
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
+      queued_.fetch_sub(1, std::memory_order_relaxed);
     }
     task();
     {

@@ -1,9 +1,13 @@
-// A small fixed-size thread pool with a blocking parallel_for. The functional
-// engine's kernels use OpenMP directly; the pool serves coarse-grained
-// parallelism in the harness (independent sweep points) where nested OpenMP
-// regions would oversubscribe.
+// A small fixed-size thread pool with a blocking parallel_for: the process's
+// only threading runtime. Callers that want parallelism own a pool and hand
+// it down — to Model::generate (lanes), to a serving backend (requests), and
+// through InferenceWorkspace::pool to the weight-streaming kernels, which
+// shard their output rows over it with parallel_rows(). With no pool a
+// kernel runs serially; there is no process-wide default.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -16,7 +20,10 @@ namespace orinsim {
 
 class ThreadPool {
  public:
-  // threads == 0 means hardware_concurrency (at least 1).
+  // `threads` workers. 0 means one fewer than hardware_concurrency (at
+  // least 1): the calling thread runs shard 0 of every parallel_for, so a
+  // parallel_for then runs on hardware_concurrency threads without
+  // oversubscribing the cores.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -38,6 +45,11 @@ class ThreadPool {
   // to invoke from inside a pool worker: even if every queued helper shard
   // sits behind the caller's own task, the caller drains the index range
   // itself and only waits for indices already claimed by running helpers.
+  // A call made from inside an index of this pool's own parallel_for (say,
+  // a row-sharded kernel inside a lane shard) runs every index inline on
+  // the calling thread: the outer range already occupies the pool, so
+  // fanning out again would only queue no-op helpers. A range of one index
+  // also runs inline and leaves nested calls free to fan out.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
@@ -62,7 +74,37 @@ class ThreadPool {
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;
+  std::size_t sleeping_ = 0;            // workers blocked on cv_task_
+  std::atomic<std::size_t> queued_{0};  // queue_.size(), polled while spinning
   bool stop_ = false;
 };
+
+// Output rows per tile of a row-sharded kernel: fine enough that a
+// few-hundred-row projection spreads evenly over the threads claiming tiles
+// (64-row tiles left a 320-row matrix at 5 tiles for 4 threads). A kernel
+// with at most one tile of rows runs serially.
+inline constexpr std::size_t kRowTile = 16;
+
+// Shards a kernel's output rows [0, rows) over the pool in kRowTile tiles,
+// calling fn(shard, row_begin, row_end) with shard < row_shards(pool). Null
+// pool, or a single tile: one serial fn(0, 0, rows). Each row must be
+// computed independently of the others, so results never depend on the pool.
+template <typename Fn>
+void parallel_rows(ThreadPool* pool, std::size_t rows, const Fn& fn) {
+  const std::size_t tiles = (rows + kRowTile - 1) / kRowTile;
+  if (pool == nullptr || tiles <= 1) {
+    fn(std::size_t{0}, std::size_t{0}, rows);
+    return;
+  }
+  pool->parallel_for(0, tiles, [&](std::size_t shard, std::size_t tile) {
+    fn(shard, tile * kRowTile, std::min(rows, (tile + 1) * kRowTile));
+  });
+}
+
+// Number of distinct shard values parallel_rows can pass: the size of a
+// kernel's per-shard scratch.
+inline std::size_t row_shards(const ThreadPool* pool) {
+  return pool != nullptr ? pool->shard_count() : 1;
+}
 
 }  // namespace orinsim

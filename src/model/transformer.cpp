@@ -153,13 +153,13 @@ void project(const quant::WeightMatrix& w, std::span<const float> x, std::span<f
              RowShape shape, std::size_t n, InferenceWorkspace& ws) {
   switch (shape) {
     case RowShape::kOne:
-      w.matvec(x, y, ws.act8);
+      w.matvec(x, y, ws.act8, ws.pool);
       break;
     case RowShape::kChunk:
-      w.matmul(x, y, n);
+      w.matmul(x, y, n, ws.pool);
       break;
     case RowShape::kLanes:
-      w.matvec_multi(x, y, n, ws.act8_rows);
+      w.matvec_multi(x, y, n, ws.act8_rows, ws.pool);
       break;
   }
 }
@@ -172,13 +172,13 @@ void project_qkv(const quant::WeightMatrix& wq, const quant::WeightMatrix& wk,
                  InferenceWorkspace& ws) {
   switch (shape) {
     case RowShape::kOne:
-      quant::matvec_qkv(wq, wk, wv, x, q, k, v, ws.act8);
+      quant::matvec_qkv(wq, wk, wv, x, q, k, v, ws.act8, ws.pool);
       break;
     case RowShape::kChunk:
-      quant::matmul_qkv(wq, wk, wv, x, q, k, v, n, ws.act8_rows);
+      quant::matmul_qkv(wq, wk, wv, x, q, k, v, n, ws.act8_rows, ws.pool);
       break;
     case RowShape::kLanes:
-      quant::matvec_qkv_multi(wq, wk, wv, x, q, k, v, n, ws.act8_rows);
+      quant::matvec_qkv_multi(wq, wk, wv, x, q, k, v, n, ws.act8_rows, ws.pool);
       break;
   }
 }
@@ -315,21 +315,23 @@ void Model::forward_rows(std::span<const TokenId> tokens, std::span<const std::s
   }
 }
 
-void Model::logits_from_hidden(std::span<const float> hidden, std::span<float> logits) const {
+void Model::logits_from_hidden(std::span<const float> hidden, std::span<float> logits,
+                               ThreadPool* pool) const {
   const TransformerConfig& c = master_->config;
   ORINSIM_CHECK(hidden.size() == c.d_model && logits.size() == c.vocab,
                 "logits_from_hidden: shape mismatch");
-  kernels::matvec(master_->lm_head, hidden, logits, c.vocab, c.d_model);
+  kernels::matvec(master_->lm_head, hidden, logits, c.vocab, c.d_model, pool);
 }
 
 void Model::logits_from_hidden_rows(std::span<const float> hidden_rows,
-                                    std::span<float> logits_rows, std::size_t lanes) const {
+                                    std::span<float> logits_rows, std::size_t lanes,
+                                    ThreadPool* pool) const {
   const TransformerConfig& c = master_->config;
   ORINSIM_CHECK(hidden_rows.size() == lanes * c.d_model &&
                     logits_rows.size() == lanes * c.vocab,
                 "logits_from_hidden_rows: shape mismatch");
   kernels::matvec_multi(master_->lm_head, hidden_rows, logits_rows, c.vocab, c.d_model,
-                        lanes);
+                        lanes, pool);
 }
 
 void Model::prefill(std::span<const TokenId> prompt, std::size_t b, KVCache& cache,
@@ -375,11 +377,17 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
 
   // One workspace per shard; shard identity comes from parallel_for, with at
   // most one lane running per shard at a time. Serial runs use shard 0 only.
+  // Every workspace carries the pool: kernels shard rows over it when a
+  // single lane runs on the calling thread, and run inline inside a lane
+  // shard.
   const std::size_t shard_count =
       options.pool != nullptr ? std::min(options.pool->shard_count(), lanes) : 1;
   std::vector<InferenceWorkspace> ws;
   ws.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) ws.emplace_back(c);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    ws.emplace_back(c);
+    ws.back().pool = options.pool;
+  }
 
   auto pick = [&](std::span<const float> l) {
     return options.sampler != nullptr ? options.sampler->sample(l)
@@ -429,7 +437,7 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
     }
     logits_from_hidden_rows(
         std::span<const float>(hidden_rows.data(), n_active * c.d_model),
-        std::span<float>(step_logits.data(), n_active * c.vocab), n_active);
+        std::span<float>(step_logits.data(), n_active * c.vocab), n_active, options.pool);
     // Scatter the contiguous logits rows back to per-lane slots (a copy, so
     // bit-exact) for the serial lane-order sampling pass below.
     for (std::size_t i = 0; i < n_active; ++i) {
@@ -442,7 +450,7 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
   // sequences and per-lane logits.
   auto prefill_lane = [&](InferenceWorkspace& w, std::size_t b) {
     prefill(prompts[b], b, cache, {}, w);
-    logits_from_hidden(w.hidden, lane_logits(b));
+    logits_from_hidden(w.hidden, lane_logits(b), w.pool);
   };
   Stopwatch watch;
   if (options.pool != nullptr) {

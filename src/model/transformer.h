@@ -116,8 +116,10 @@ class Model {
     forward_token(token, b, cache, hidden_out, default_ws_);
   }
 
-  // logits [vocab] from a final hidden state. Re-entrant (reads weights only).
-  void logits_from_hidden(std::span<const float> hidden, std::span<float> logits) const;
+  // logits [vocab] from a final hidden state. Re-entrant (reads weights
+  // only); the lm_head rows shard over `pool` when given.
+  void logits_from_hidden(std::span<const float> hidden, std::span<float> logits,
+                          ThreadPool* pool = nullptr) const;
 
   // Lane-batched decode step: advances tokens.size() independent sequences by
   // one token each. tokens[t] is fed to cache sequence seqs[t] (distinct);
@@ -137,7 +139,8 @@ class Model {
   // bit-identical to logits_from_hidden(hidden_rows[t]) at both kernel
   // levels. Re-entrant (reads weights only).
   void logits_from_hidden_rows(std::span<const float> hidden_rows,
-                               std::span<float> logits_rows, std::size_t lanes) const;
+                               std::span<float> logits_rows, std::size_t lanes,
+                               ThreadPool* pool = nullptr) const;
 
   // Process `tokens` consecutive prompt tokens for sequence b as one batched
   // pass (GEMM projections, causal attention, one append_many + commit).
@@ -185,7 +188,8 @@ class Model {
     trace::ExecutionTimeline* timeline = nullptr;
     // Non-null: prefill runs lanes in parallel on the pool with one
     // workspace per shard, and each decode step splits the active lanes into
-    // one forward_tokens batch per shard. Sampling stays serialized in lane
+    // one forward_tokens batch per shard; a lone lane and the lm_head shard
+    // their kernel rows over it instead. Sampling stays serialized in lane
     // order after each parallel section, so outputs are bit-identical to a
     // serial run (pool == nullptr) for any worker count.
     ThreadPool* pool = nullptr;

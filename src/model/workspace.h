@@ -5,10 +5,16 @@
 // makes the forward pass re-entrant: the batched decode loop runs lanes in
 // parallel on a ThreadPool with one workspace per shard, while serial
 // callers use the Model's built-in default workspace.
+//
+// `pool` is how threads reach the kernels: every projection of a forward
+// pass through this workspace shards its output rows over it. Null (the
+// default) runs them serially. Lane-sharded callers may set it to the pool
+// running the lanes: a kernel called from inside a lane shard runs inline.
 #pragma once
 
 #include <vector>
 
+#include "core/thread_pool.h"
 #include "model/config.h"
 #include "quant/quantize.h"
 
@@ -48,6 +54,7 @@ struct InferenceWorkspace {
   quant::ActivationInt8 act8;
   quant::ActivationBatchInt8 act8_rows;
   std::size_t row_capacity = 0;
+  ThreadPool* pool = nullptr;
 };
 
 }  // namespace orinsim

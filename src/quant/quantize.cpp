@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace orinsim::quant {
@@ -90,36 +91,37 @@ void quantize_activation_int8(std::span<const float> x, ActivationInt8& act) {
 }
 
 void matvec_int8(const RowwiseInt8& q, std::span<const float> x,
-                 const ActivationInt8& act, std::span<float> out) {
+                 const ActivationInt8& act, std::span<float> out, ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int8 matvec: shape mismatch");
   ORINSIM_CHECK(act.codes.size() == q.cols, "int8 matvec: activation shape mismatch");
 
   const std::int8_t* xq = act.codes.data();
   const float x_scale = act.scale;
   const std::size_t n_out = q.outlier_cols.size();
-#pragma omp parallel for if (q.rows >= 256)
-  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-    const auto r = static_cast<std::size_t>(rs);
-    const std::int8_t* codes = q.codes.data() + r * q.cols;
-    const std::int64_t acc = simd::dot_i8(codes, xq, q.cols);
-    float result = static_cast<float>(acc) * q.row_scale[r] * x_scale;
-    // Outlier part in full precision with the *original* activations. The
-    // fp16 weights were converted once at quantize time (outlier_f32), so
-    // this loop streams floats — same values, same accumulation order.
-    const float* w_out = q.outlier_f32.data() + r * n_out;
-    for (std::size_t o = 0; o < n_out; ++o) {
-      result += w_out[o] * x[q.outlier_cols[o]];
+  parallel_rows(pool, q.rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      const std::int8_t* codes = q.codes.data() + r * q.cols;
+      const std::int64_t acc = simd::dot_i8(codes, xq, q.cols);
+      float result = static_cast<float>(acc) * q.row_scale[r] * x_scale;
+      // Outlier part in full precision with the *original* activations. The
+      // fp16 weights were converted once at quantize time (outlier_f32), so
+      // this loop streams floats — same values, same accumulation order.
+      const float* w_out = q.outlier_f32.data() + r * n_out;
+      for (std::size_t o = 0; o < n_out; ++o) {
+        result += w_out[o] * x[q.outlier_cols[o]];
+      }
+      out[r] = result;
     }
-    out[r] = result;
-  }
+  });
 }
 
-void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out) {
+void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out,
+                 ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int8 matvec: shape mismatch");
   // Dynamic per-token activation quantization (absmax over all dims).
   ActivationInt8 act;
   quantize_activation_int8(x, act);
-  matvec_int8(q, x, act, out);
+  matvec_int8(q, x, act, out, pool);
 }
 
 void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
@@ -144,7 +146,8 @@ void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
 }
 
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens) {
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
+                 ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
                 "int8 matmul: shape mismatch");
   ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
@@ -164,19 +167,17 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
     float* dst = x_out.data() + t * n_out;
     for (std::size_t o = 0; o < n_out; ++o) dst[o] = xt[q.outlier_cols[o]];
   }
-#pragma omp parallel if (q.rows >= 256)
-  {
-    std::vector<std::int64_t> dots(tokens);
-#pragma omp for
-    for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-      const auto r = static_cast<std::size_t>(rs);
+  std::vector<std::int64_t> dots_all(row_shards(pool) * tokens);
+  parallel_rows(pool, q.rows, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+    std::int64_t* dots = dots_all.data() + shard * tokens;
+    for (std::size_t r = r0; r < r1; ++r) {
       const std::int8_t* codes = q.codes.data() + r * q.cols;
       // Outlier weights were converted to fp32 once at quantize time.
       const float* w_out = q.outlier_f32.data() + r * n_out;
       // One pass over the weight row serves all tokens (the multi-column dot
       // shares each weight load across 4 activation columns; integer math is
       // exact, so the results equal per-token dot_i8 bit-for-bit).
-      simd::dot_i8_multi(codes, acts.codes.data(), q.cols, tokens, q.cols, dots.data());
+      simd::dot_i8_multi(codes, acts.codes.data(), q.cols, tokens, q.cols, dots);
       for (std::size_t t = 0; t < tokens; ++t) {
         float result = static_cast<float>(dots[t]) * q.row_scale[r] * acts.scales[t];
         const float* xo = x_out.data() + t * n_out;
@@ -193,25 +194,23 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
         y[t * q.rows + r] = result;
       }
     }
-  }
+  });
 }
 
 void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
                        const ActivationBatchInt8& acts, std::span<float> y,
-                       std::size_t lanes) {
+                       std::size_t lanes, ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == lanes * q.cols && y.size() == lanes * q.rows,
                 "int8 multi matvec: shape mismatch");
   ORINSIM_CHECK(acts.tokens == lanes && acts.cols == q.cols,
                 "int8 multi matvec: activation batch shape mismatch");
   const std::size_t n_out = q.outlier_cols.size();
-#pragma omp parallel if (q.rows >= 256)
-  {
-    std::vector<std::int64_t> dots(lanes);
-#pragma omp for
-    for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-      const auto r = static_cast<std::size_t>(rs);
+  std::vector<std::int64_t> dots_all(row_shards(pool) * lanes);
+  parallel_rows(pool, q.rows, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+    std::int64_t* dots = dots_all.data() + shard * lanes;
+    for (std::size_t r = r0; r < r1; ++r) {
       const std::int8_t* codes = q.codes.data() + r * q.cols;
-      simd::dot_i8_multi(codes, acts.codes.data(), q.cols, lanes, q.cols, dots.data());
+      simd::dot_i8_multi(codes, acts.codes.data(), q.cols, lanes, q.cols, dots);
       const float* w_out = q.outlier_f32.data() + r * n_out;
       for (std::size_t t = 0; t < lanes; ++t) {
         float result = static_cast<float>(dots[t]) * q.row_scale[r] * acts.scales[t];
@@ -225,17 +224,17 @@ void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
         y[t * q.rows + r] = result;
       }
     }
-  }
+  });
 }
 
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> y,
-                 std::size_t tokens) {
+                 std::size_t tokens, ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
                 "int8 matmul: shape mismatch");
   // Quantize every token's activation once up front.
   ActivationBatchInt8 acts;
   quantize_activations_int8(x, tokens, q.cols, acts);
-  matmul_int8(q, x, acts, y, tokens);
+  matmul_int8(q, x, acts, y, tokens, pool);
 }
 
 std::size_t BlockInt4::storage_bytes() const noexcept {
@@ -340,24 +339,25 @@ bool int4_native_path(const BlockInt4& q) {
 
 // Scalar reference matvec: unpack + dequantize per block, float accumulate.
 // The bit-exact reference — unchanged since the seed.
-void matvec_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> out) {
-#pragma omp parallel for if (q.rows >= 256)
-  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-    const auto r = static_cast<std::size_t>(rs);
-    float acc = 0.0f;
-    for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
-      const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
-      float blk_acc = 0.0f;
-      const float* xb = x.data() + b * kInt4Block;
-      for (std::size_t i = 0; i < kInt4Block; i += 2) {
-        const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
-        blk_acc += static_cast<float>(unpack_lo(byte)) * xb[i];
-        blk_acc += static_cast<float>(unpack_hi(byte)) * xb[i + 1];
+void matvec_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> out,
+                        ThreadPool* pool) {
+  parallel_rows(pool, q.rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      float acc = 0.0f;
+      for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
+        const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
+        float blk_acc = 0.0f;
+        const float* xb = x.data() + b * kInt4Block;
+        for (std::size_t i = 0; i < kInt4Block; i += 2) {
+          const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
+          blk_acc += static_cast<float>(unpack_lo(byte)) * xb[i];
+          blk_acc += static_cast<float>(unpack_hi(byte)) * xb[i + 1];
+        }
+        acc += blk_acc * scale;
       }
-      acc += blk_acc * scale;
+      out[r] = acc;
     }
-    out[r] = acc;
-  }
+  });
 }
 
 // Scalar reference matmul: tile tokens so per-token block accumulators live
@@ -365,101 +365,102 @@ void matvec_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<
 // per tile. Per-token sequence == matvec_int4_scalar (chunked-prefill
 // bit-identity contract).
 void matmul_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> y,
-                        std::size_t tokens) {
+                        std::size_t tokens, ThreadPool* pool) {
   constexpr std::size_t kTokenTile = 8;
-#pragma omp parallel for if (q.rows >= 256)
-  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-    const auto r = static_cast<std::size_t>(rs);
-    for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
-      const std::size_t tile = std::min(kTokenTile, tokens - t0);
-      float acc[kTokenTile] = {};
-      for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
-        const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
-        float blk_acc[kTokenTile] = {};
-        for (std::size_t i = 0; i < kInt4Block; i += 2) {
-          const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
-          const float lo = static_cast<float>(unpack_lo(byte));
-          const float hi = static_cast<float>(unpack_hi(byte));
-          for (std::size_t t = 0; t < tile; ++t) {
-            const float* xb = x.data() + (t0 + t) * q.cols + b * kInt4Block;
-            blk_acc[t] += lo * xb[i];
-            blk_acc[t] += hi * xb[i + 1];
+  parallel_rows(pool, q.rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+        const std::size_t tile = std::min(kTokenTile, tokens - t0);
+        float acc[kTokenTile] = {};
+        for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
+          const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
+          float blk_acc[kTokenTile] = {};
+          for (std::size_t i = 0; i < kInt4Block; i += 2) {
+            const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
+            const float lo = static_cast<float>(unpack_lo(byte));
+            const float hi = static_cast<float>(unpack_hi(byte));
+            for (std::size_t t = 0; t < tile; ++t) {
+              const float* xb = x.data() + (t0 + t) * q.cols + b * kInt4Block;
+              blk_acc[t] += lo * xb[i];
+              blk_acc[t] += hi * xb[i + 1];
+            }
           }
+          for (std::size_t t = 0; t < tile; ++t) acc[t] += blk_acc[t] * scale;
         }
-        for (std::size_t t = 0; t < tile; ++t) acc[t] += blk_acc[t] * scale;
+        for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * q.rows + r] = acc[t];
       }
-      for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * q.rows + r] = acc[t];
     }
-  }
+  });
 }
 
 // Packed kernel over a pre-quantized activation batch: one weight unpack
 // serves every column; per-column results are independent of the batch.
 void matmul_int4_packed(const BlockInt4& q, const std::int8_t* codes, const float* scales,
-                        std::size_t stride, std::span<float> y, std::size_t tokens) {
-#pragma omp parallel if (q.rows >= 256)
-  {
-    std::vector<float> tmp(tokens);
-#pragma omp for
-    for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-      const auto r = static_cast<std::size_t>(rs);
+                        std::size_t stride, std::span<float> y, std::size_t tokens,
+                        ThreadPool* pool) {
+  std::vector<float> tmp_all(row_shards(pool) * tokens);
+  parallel_rows(pool, q.rows, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+    float* tmp = tmp_all.data() + shard * tokens;
+    for (std::size_t r = r0; r < r1; ++r) {
       simd::dot_i4_i8_multi(
           q.packed_kernel.data() + r * q.blocks_per_row * simd::kInt4KernelBlockBytes,
           q.scale_f32.data() + r * q.blocks_per_row, q.blocks_per_row, codes, stride, tokens,
-          tmp.data());
+          tmp);
       for (std::size_t t = 0; t < tokens; ++t) y[t * q.rows + r] = tmp[t] * scales[t];
     }
-  }
+  });
 }
 
 }  // namespace
 
 void matvec_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationInt8& act, std::span<float> out) {
+                 const ActivationInt8& act, std::span<float> out, ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int4 matvec: shape mismatch");
   if (int4_native_path(q)) {
     ORINSIM_CHECK(act.codes.size() == q.cols, "int4 matvec: activation shape mismatch");
-    matmul_int4_packed(q, act.codes.data(), &act.scale, q.cols, out, 1);
+    matmul_int4_packed(q, act.codes.data(), &act.scale, q.cols, out, 1, pool);
     return;
   }
-  matvec_int4_scalar(q, x, out);
+  matvec_int4_scalar(q, x, out, pool);
 }
 
-void matvec_int4(const BlockInt4& q, std::span<const float> x, std::span<float> out) {
+void matvec_int4(const BlockInt4& q, std::span<const float> x, std::span<float> out,
+                 ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int4 matvec: shape mismatch");
   if (int4_native_path(q)) {
     ActivationInt8 act;
     quantize_activation_int8(x, act);
-    matmul_int4_packed(q, act.codes.data(), &act.scale, q.cols, out, 1);
+    matmul_int4_packed(q, act.codes.data(), &act.scale, q.cols, out, 1, pool);
     return;
   }
-  matvec_int4_scalar(q, x, out);
+  matvec_int4_scalar(q, x, out, pool);
 }
 
 void matmul_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens) {
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
+                 ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
                 "int4 matmul: shape mismatch");
   if (int4_native_path(q)) {
     ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
                   "int4 matmul: activation batch shape mismatch");
-    matmul_int4_packed(q, acts.codes.data(), acts.scales.data(), q.cols, y, tokens);
+    matmul_int4_packed(q, acts.codes.data(), acts.scales.data(), q.cols, y, tokens, pool);
     return;
   }
-  matmul_int4_scalar(q, x, y, tokens);
+  matmul_int4_scalar(q, x, y, tokens, pool);
 }
 
 void matmul_int4(const BlockInt4& q, std::span<const float> x, std::span<float> y,
-                 std::size_t tokens) {
+                 std::size_t tokens, ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
                 "int4 matmul: shape mismatch");
   if (int4_native_path(q)) {
     ActivationBatchInt8 acts;
     quantize_activations_int8(x, tokens, q.cols, acts);
-    matmul_int4_packed(q, acts.codes.data(), acts.scales.data(), q.cols, y, tokens);
+    matmul_int4_packed(q, acts.codes.data(), acts.scales.data(), q.cols, y, tokens, pool);
     return;
   }
-  matmul_int4_scalar(q, x, y, tokens);
+  matmul_int4_scalar(q, x, y, tokens, pool);
 }
 
 std::vector<fp16_t> quantize_fp16(std::span<const float> weights) {

@@ -10,6 +10,10 @@
 //
 // Both codecs quantize *weights*; activations are quantized per-token inside
 // the INT8 matmul (dynamic absmax), as LLM.int8() does.
+//
+// Every matvec/matmul below takes an optional ThreadPool and shards its
+// output rows over it (parallel_rows); each row's arithmetic is the same for
+// any pool, so results are bit-identical with or without one.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +21,10 @@
 #include <vector>
 
 #include "tensor/fp16.h"
+
+namespace orinsim {
+class ThreadPool;
+}  // namespace orinsim
 
 namespace orinsim::quant {
 
@@ -51,7 +59,8 @@ void dequantize_row(const RowwiseInt8& q, std::size_t row, std::span<float> out)
 // out[r] = sum_c W[r,c] * x[c] over the int8 + outlier parts.
 // The int8 part quantizes x per-call with absmax (dynamic activation
 // quantization) and accumulates in int32, faithfully mimicking LLM.int8().
-void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out);
+void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out,
+                 ThreadPool* pool = nullptr);
 
 // A dynamically-quantized activation vector: absmax INT8 codes plus the
 // original FP32 view (the outlier columns multiply against full precision).
@@ -70,7 +79,7 @@ void quantize_activation_int8(std::span<const float> x, ActivationInt8& act);
 // matvec_int8 against a pre-quantized activation; `x` must be the FP32
 // vector act was built from (outlier columns read it directly).
 void matvec_int8(const RowwiseInt8& q, std::span<const float> x,
-                 const ActivationInt8& act, std::span<float> out);
+                 const ActivationInt8& act, std::span<float> out, ThreadPool* pool = nullptr);
 
 // A chunk of dynamically-quantized activations: [tokens, cols] codes with one
 // absmax scale per token. Reused across the QKV/O/MLP projections of a
@@ -96,13 +105,14 @@ void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
 // prefill amortization the multi-lane engine relies on. Per-token results
 // are bit-identical to the corresponding matvec.
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> y,
-                 std::size_t tokens);
+                 std::size_t tokens, ThreadPool* pool = nullptr);
 
 // Same, against a pre-quantized activation chunk (`x` must be the FP32 block
 // acts was built from; outlier columns read it directly). The variant above
 // quantizes into a scratch batch and forwards here.
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens);
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
+                 ThreadPool* pool = nullptr);
 
 // Lane-batched int8 matvec: x/acts hold one activation column per decode
 // lane ([lanes, cols]), y is [lanes, rows]. Unlike matmul_int8 (whose
@@ -114,7 +124,7 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
 // changing any lane's output.
 void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
                        const ActivationBatchInt8& acts, std::span<float> y,
-                       std::size_t lanes);
+                       std::size_t lanes, ThreadPool* pool = nullptr);
 
 // Block-wise INT4. Each block of kInt4Block consecutive weights (within a
 // row) shares one FP16 absmax scale; codes are signed 4-bit in [-8, 7].
@@ -153,24 +163,26 @@ void dequantize_row(const BlockInt4& q, std::size_t row, std::span<float> out);
 // bit-identical between matvec and matmul at each level (composition
 // independence of the packed kernel), which is what lets chunked prefill and
 // lane-batched decode share these entry points.
-void matvec_int4(const BlockInt4& q, std::span<const float> x, std::span<float> out);
+void matvec_int4(const BlockInt4& q, std::span<const float> x, std::span<float> out,
+                 ThreadPool* pool = nullptr);
 
 // matvec_int4 against a pre-quantized activation (`x` must be the vector
 // `act` was built from): the decode hot path quantizes once per token and
 // reuses it across Q/K/V. kScalar ignores `act` and runs the float reference.
 void matvec_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationInt8& act, std::span<float> out);
+                 const ActivationInt8& act, std::span<float> out, ThreadPool* pool = nullptr);
 
 // Blocked multi-token INT4 matmul (layouts as matmul_int8): each packed
 // weight block is unpacked once and applied to every token.
 void matmul_int4(const BlockInt4& q, std::span<const float> x, std::span<float> y,
-                 std::size_t tokens);
+                 std::size_t tokens, ThreadPool* pool = nullptr);
 
 // Same, against a pre-quantized activation chunk (shared across the fused
 // QKV projections). Doubles as the lane-batched int4 decode matvec: token t
 // is bit-identical to matvec_int4 on column t at both levels, for any batch.
 void matmul_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens);
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
+                 ThreadPool* pool = nullptr);
 
 // FP16 cast of a full matrix (round-to-nearest-even).
 std::vector<fp16_t> quantize_fp16(std::span<const float> weights);

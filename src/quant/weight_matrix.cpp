@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace orinsim::quant {
@@ -44,46 +45,44 @@ WeightMatrix WeightMatrix::create(std::span<const float> weights, std::size_t ou
   return w;
 }
 
-void WeightMatrix::matvec(std::span<const float> x, std::span<float> out) const {
+void WeightMatrix::matvec(std::span<const float> x, std::span<float> out,
+                          ThreadPool* pool) const {
   ORINSIM_CHECK(x.size() == in_features_ && out.size() == out_features_,
                 "WeightMatrix::matvec shape mismatch");
   switch (dtype_) {
-    case DType::kF32: {
-#pragma omp parallel for if (out_features_ >= 256)
-      for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-        const auto r = static_cast<std::size_t>(rs);
-        const float* wr = f32_.data() + r * in_features_;
-        out[r] = simd::dot_f32(wr, x.data(), in_features_);
-      }
+    case DType::kF32:
+      parallel_rows(pool, out_features_, [&](std::size_t, std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          out[r] = simd::dot_f32(f32_.data() + r * in_features_, x.data(), in_features_);
+        }
+      });
       break;
-    }
-    case DType::kF16: {
-#pragma omp parallel for if (out_features_ >= 256)
-      for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-        const auto r = static_cast<std::size_t>(rs);
-        const fp16_t* wr = f16_.data() + r * in_features_;
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < in_features_; ++c) acc += fp16_to_float(wr[c]) * x[c];
-        out[r] = acc;
-      }
+    case DType::kF16:
+      parallel_rows(pool, out_features_, [&](std::size_t, std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          const fp16_t* wr = f16_.data() + r * in_features_;
+          float acc = 0.0f;
+          for (std::size_t c = 0; c < in_features_; ++c) acc += fp16_to_float(wr[c]) * x[c];
+          out[r] = acc;
+        }
+      });
       break;
-    }
     case DType::kI8:
-      matvec_int8(i8_, x, out);
+      matvec_int8(i8_, x, out, pool);
       break;
     case DType::kI4:
-      matvec_int4(i4_, x, out);
+      matvec_int4(i4_, x, out, pool);
       break;
   }
 }
 
 void WeightMatrix::matvec(std::span<const float> x, std::span<float> out,
-                          ActivationInt8& act_scratch) const {
+                          ActivationInt8& act_scratch, ThreadPool* pool) const {
   if (dtype_ == DType::kI8) {
     ORINSIM_CHECK(x.size() == in_features_ && out.size() == out_features_,
                   "WeightMatrix::matvec shape mismatch");
     quantize_activation_int8(x, act_scratch);
-    matvec_int8(i8_, x, act_scratch, out);
+    matvec_int8(i8_, x, act_scratch, out, pool);
     return;
   }
   if (dtype_ == DType::kI4 && simd::active_level() == simd::Level::kNative) {
@@ -92,31 +91,30 @@ void WeightMatrix::matvec(std::span<const float> x, std::span<float> out,
     // The packed-int4 kernel consumes int8 activation codes; quantize into
     // the caller's scratch instead of allocating inside matvec_int4.
     quantize_activation_int8(x, act_scratch);
-    matvec_int4(i4_, x, act_scratch, out);
+    matvec_int4(i4_, x, act_scratch, out, pool);
     return;
   }
-  matvec(x, out);
+  matvec(x, out, pool);
 }
 
 void WeightMatrix::matvec_multi(std::span<const float> x, std::span<float> y,
-                                std::size_t lanes, ActivationBatchInt8& act_scratch) const {
+                                std::size_t lanes, ActivationBatchInt8& act_scratch,
+                                ThreadPool* pool) const {
   ORINSIM_CHECK(x.size() == lanes * in_features_ && y.size() == lanes * out_features_,
                 "WeightMatrix::matvec_multi shape mismatch");
   switch (dtype_) {
     case DType::kF32: {
       // dot_f32_multi replicates the single-dot float sequence per lane at
       // both levels, so each lane equals matvec bit-for-bit.
-#pragma omp parallel if (out_features_ >= 256)
-      {
-        std::vector<float> tmp(lanes);
-#pragma omp for
-        for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-          const auto r = static_cast<std::size_t>(rs);
+      std::vector<float> tmp_all(row_shards(pool) * lanes);
+      parallel_rows(pool, out_features_, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+        float* tmp = tmp_all.data() + shard * lanes;
+        for (std::size_t r = r0; r < r1; ++r) {
           const float* wr = f32_.data() + r * in_features_;
-          simd::dot_f32_multi(wr, x.data(), in_features_, lanes, in_features_, tmp.data());
+          simd::dot_f32_multi(wr, x.data(), in_features_, lanes, in_features_, tmp);
           for (std::size_t t = 0; t < lanes; ++t) y[t * out_features_ + r] = tmp[t];
         }
-      }
+      });
       return;
     }
     case DType::kF16:
@@ -125,71 +123,70 @@ void WeightMatrix::matvec_multi(std::span<const float> x, std::span<float> y,
         // expensive software fp16 conversion is paid once per row instead of
         // once per (row, lane). Reorders fp32 accumulation vs. the inline
         // matvec — FMA-tolerance contract, still batch-independent.
-        matmul(x, y, lanes);
+        matmul(x, y, lanes, pool);
       } else {
         // kScalar: the exact inline conversion + accumulation sequence of
         // the fp16 matvec, per lane.
-#pragma omp parallel for if (out_features_ >= 256)
-        for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-          const auto r = static_cast<std::size_t>(rs);
-          const fp16_t* wr = f16_.data() + r * in_features_;
-          for (std::size_t t = 0; t < lanes; ++t) {
-            const float* xt = x.data() + t * in_features_;
-            float acc = 0.0f;
-            for (std::size_t c = 0; c < in_features_; ++c) acc += fp16_to_float(wr[c]) * xt[c];
-            y[t * out_features_ + r] = acc;
+        parallel_rows(pool, out_features_, [&](std::size_t, std::size_t r0, std::size_t r1) {
+          for (std::size_t r = r0; r < r1; ++r) {
+            const fp16_t* wr = f16_.data() + r * in_features_;
+            for (std::size_t t = 0; t < lanes; ++t) {
+              const float* xt = x.data() + t * in_features_;
+              float acc = 0.0f;
+              for (std::size_t c = 0; c < in_features_; ++c) acc += fp16_to_float(wr[c]) * xt[c];
+              y[t * out_features_ + r] = acc;
+            }
           }
-        }
+        });
       }
       return;
     case DType::kI8:
       quantize_activations_int8(x, lanes, in_features_, act_scratch);
-      matvec_int8_multi(i8_, x, act_scratch, y, lanes);
+      matvec_int8_multi(i8_, x, act_scratch, y, lanes, pool);
       return;
     case DType::kI4:
       if (simd::active_level() == simd::Level::kNative && !i4_.packed_kernel.empty()) {
         quantize_activations_int8(x, lanes, in_features_, act_scratch);
-        matmul_int4(i4_, x, act_scratch, y, lanes);
+        matmul_int4(i4_, x, act_scratch, y, lanes, pool);
       } else {
-        matmul_int4(i4_, x, y, lanes);  // scalar tile path: per lane == matvec
+        matmul_int4(i4_, x, y, lanes, pool);  // scalar tile path: per lane == matvec
       }
       return;
   }
 }
 
-void WeightMatrix::matmul(std::span<const float> x, std::span<float> y,
-                          std::size_t tokens) const {
+void WeightMatrix::matmul(std::span<const float> x, std::span<float> y, std::size_t tokens,
+                          ThreadPool* pool) const {
   ORINSIM_CHECK(x.size() == tokens * in_features_ && y.size() == tokens * out_features_,
                 "WeightMatrix::matmul shape mismatch");
   switch (dtype_) {
     case DType::kI8:
-      matmul_int8(i8_, x, y, tokens);
+      matmul_int8(i8_, x, y, tokens, pool);
       return;
     case DType::kI4:
-      matmul_int4(i4_, x, y, tokens);
+      matmul_int4(i4_, x, y, tokens, pool);
       return;
     case DType::kF32:
       // One weight-row pass serves every token in the chunk (compute-bound
       // under the SIMD microkernel instead of re-streaming W per token).
-      simd::gemm_nt_f32(x.data(), f32_.data(), y.data(), tokens, in_features_, out_features_);
+      simd::gemm_nt_f32(x.data(), f32_.data(), y.data(), tokens, in_features_, out_features_,
+                        pool);
       return;
     case DType::kF16: {
       // Dequantize each weight row once, then dot it against every token.
       // The per-(token, row) float sequence matches the fp16 matvec exactly.
-#pragma omp parallel if (out_features_ >= 64)
-      {
-        std::vector<float> row(in_features_);
-#pragma omp for
-        for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-          const auto r = static_cast<std::size_t>(rs);
+      std::vector<float> rows_all(row_shards(pool) * in_features_);
+      parallel_rows(pool, out_features_, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+        float* row = rows_all.data() + shard * in_features_;
+        for (std::size_t r = r0; r < r1; ++r) {
           const fp16_t* wr = f16_.data() + r * in_features_;
           for (std::size_t c = 0; c < in_features_; ++c) row[c] = fp16_to_float(wr[c]);
           for (std::size_t t = 0; t < tokens; ++t) {
-            y[t * out_features_ + r] = simd::dot_f32(x.data() + t * in_features_,
-                                                     row.data(), in_features_);
+            y[t * out_features_ + r] =
+                simd::dot_f32(x.data() + t * in_features_, row, in_features_);
           }
         }
-      }
+      });
       return;
     }
   }
@@ -236,7 +233,7 @@ std::size_t WeightMatrix::outlier_column_count() const noexcept {
 
 void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
                 std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, ActivationInt8& act_scratch) {
+                std::span<float> v, ActivationInt8& act_scratch, ThreadPool* pool) {
   if (wq.dtype_ == DType::kI8 && wk.dtype_ == DType::kI8 && wv.dtype_ == DType::kI8) {
     ORINSIM_CHECK(wq.in_features_ == x.size() && wk.in_features_ == x.size() &&
                       wv.in_features_ == x.size(),
@@ -245,9 +242,9 @@ void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatr
                       v.size() == wv.out_features_,
                   "matvec_qkv: output shape mismatch");
     quantize_activation_int8(x, act_scratch);
-    matvec_int8(wq.i8_, x, act_scratch, q);
-    matvec_int8(wk.i8_, x, act_scratch, k);
-    matvec_int8(wv.i8_, x, act_scratch, v);
+    matvec_int8(wq.i8_, x, act_scratch, q, pool);
+    matvec_int8(wk.i8_, x, act_scratch, k, pool);
+    matvec_int8(wv.i8_, x, act_scratch, v, pool);
     return;
   }
   if (wq.dtype_ == DType::kI4 && wk.dtype_ == DType::kI4 && wv.dtype_ == DType::kI4 &&
@@ -257,19 +254,20 @@ void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatr
     // equal three independent matvecs). kScalar falls through — the float
     // reference reads x directly.
     quantize_activation_int8(x, act_scratch);
-    matvec_int4(wq.i4_, x, act_scratch, q);
-    matvec_int4(wk.i4_, x, act_scratch, k);
-    matvec_int4(wv.i4_, x, act_scratch, v);
+    matvec_int4(wq.i4_, x, act_scratch, q, pool);
+    matvec_int4(wk.i4_, x, act_scratch, k, pool);
+    matvec_int4(wv.i4_, x, act_scratch, v, pool);
     return;
   }
-  wq.matvec(x, q);
-  wk.matvec(x, k);
-  wv.matvec(x, v);
+  wq.matvec(x, q, pool);
+  wk.matvec(x, k, pool);
+  wv.matvec(x, v, pool);
 }
 
 void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
                 std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, std::size_t tokens, ActivationBatchInt8& act_scratch) {
+                std::span<float> v, std::size_t tokens, ActivationBatchInt8& act_scratch,
+                ThreadPool* pool) {
   if (wq.dtype_ == DType::kI8 && wk.dtype_ == DType::kI8 && wv.dtype_ == DType::kI8) {
     ORINSIM_CHECK(x.size() == tokens * wq.in_features_ && wk.in_features_ == wq.in_features_ &&
                       wv.in_features_ == wq.in_features_,
@@ -279,9 +277,9 @@ void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatr
                       v.size() == tokens * wv.out_features_,
                   "matmul_qkv: output shape mismatch");
     quantize_activations_int8(x, tokens, wq.in_features_, act_scratch);
-    matmul_int8(wq.i8_, x, act_scratch, q, tokens);
-    matmul_int8(wk.i8_, x, act_scratch, k, tokens);
-    matmul_int8(wv.i8_, x, act_scratch, v, tokens);
+    matmul_int8(wq.i8_, x, act_scratch, q, tokens, pool);
+    matmul_int8(wk.i8_, x, act_scratch, k, tokens, pool);
+    matmul_int8(wv.i8_, x, act_scratch, v, tokens, pool);
     return;
   }
   if (wq.dtype_ == DType::kI4 && wk.dtype_ == DType::kI4 && wv.dtype_ == DType::kI4 &&
@@ -296,19 +294,20 @@ void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatr
     // Share one activation-quantization pass across the three packed-int4
     // matmuls (deterministic codes — identical to three separate calls).
     quantize_activations_int8(x, tokens, wq.in_features_, act_scratch);
-    matmul_int4(wq.i4_, x, act_scratch, q, tokens);
-    matmul_int4(wk.i4_, x, act_scratch, k, tokens);
-    matmul_int4(wv.i4_, x, act_scratch, v, tokens);
+    matmul_int4(wq.i4_, x, act_scratch, q, tokens, pool);
+    matmul_int4(wk.i4_, x, act_scratch, k, tokens, pool);
+    matmul_int4(wv.i4_, x, act_scratch, v, tokens, pool);
     return;
   }
-  wq.matmul(x, q, tokens);
-  wk.matmul(x, k, tokens);
-  wv.matmul(x, v, tokens);
+  wq.matmul(x, q, tokens, pool);
+  wk.matmul(x, k, tokens, pool);
+  wv.matmul(x, v, tokens, pool);
 }
 
 void matvec_qkv_multi(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
                       std::span<const float> x, std::span<float> q, std::span<float> k,
-                      std::span<float> v, std::size_t lanes, ActivationBatchInt8& act_scratch) {
+                      std::span<float> v, std::size_t lanes, ActivationBatchInt8& act_scratch,
+                      ThreadPool* pool) {
   ORINSIM_CHECK(x.size() == lanes * wq.in_features_ && wk.in_features_ == wq.in_features_ &&
                     wv.in_features_ == wq.in_features_,
                 "matvec_qkv_multi: input shape mismatch");
@@ -317,22 +316,22 @@ void matvec_qkv_multi(const WeightMatrix& wq, const WeightMatrix& wk, const Weig
                 "matvec_qkv_multi: output shape mismatch");
   if (wq.dtype_ == DType::kI8 && wk.dtype_ == DType::kI8 && wv.dtype_ == DType::kI8) {
     quantize_activations_int8(x, lanes, wq.in_features_, act_scratch);
-    matvec_int8_multi(wq.i8_, x, act_scratch, q, lanes);
-    matvec_int8_multi(wk.i8_, x, act_scratch, k, lanes);
-    matvec_int8_multi(wv.i8_, x, act_scratch, v, lanes);
+    matvec_int8_multi(wq.i8_, x, act_scratch, q, lanes, pool);
+    matvec_int8_multi(wk.i8_, x, act_scratch, k, lanes, pool);
+    matvec_int8_multi(wv.i8_, x, act_scratch, v, lanes, pool);
     return;
   }
   if (wq.dtype_ == DType::kI4 && wk.dtype_ == DType::kI4 && wv.dtype_ == DType::kI4 &&
       simd::active_level() == simd::Level::kNative) {
     quantize_activations_int8(x, lanes, wq.in_features_, act_scratch);
-    matmul_int4(wq.i4_, x, act_scratch, q, lanes);
-    matmul_int4(wk.i4_, x, act_scratch, k, lanes);
-    matmul_int4(wv.i4_, x, act_scratch, v, lanes);
+    matmul_int4(wq.i4_, x, act_scratch, q, lanes, pool);
+    matmul_int4(wk.i4_, x, act_scratch, k, lanes, pool);
+    matmul_int4(wv.i4_, x, act_scratch, v, lanes, pool);
     return;
   }
-  wq.matvec_multi(x, q, lanes, act_scratch);
-  wk.matvec_multi(x, k, lanes, act_scratch);
-  wv.matvec_multi(x, v, lanes, act_scratch);
+  wq.matvec_multi(x, q, lanes, act_scratch, pool);
+  wk.matvec_multi(x, k, lanes, act_scratch, pool);
+  wv.matvec_multi(x, v, lanes, act_scratch, pool);
 }
 
 }  // namespace orinsim::quant

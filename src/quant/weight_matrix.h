@@ -13,8 +13,16 @@
 #include "tensor/dtype.h"
 #include "tensor/fp16.h"
 
+namespace orinsim {
+class ThreadPool;
+}  // namespace orinsim
+
 namespace orinsim::quant {
 
+// Every product below takes an optional ThreadPool and shards its output
+// rows over it (parallel_rows in core/thread_pool.h). A row's arithmetic
+// never depends on the pool, so results are bit-identical with or without
+// one; a null pool runs serially.
 class WeightMatrix {
  public:
   WeightMatrix() = default;
@@ -31,19 +39,22 @@ class WeightMatrix {
   DType dtype() const noexcept { return dtype_; }
 
   // out[r] = sum_c W[r,c] * x[c]; dispatches on storage precision.
-  void matvec(std::span<const float> x, std::span<float> out) const;
+  void matvec(std::span<const float> x, std::span<float> out,
+              ThreadPool* pool = nullptr) const;
 
   // As above, but INT8 quantizes the activation into caller-owned scratch
   // instead of allocating per call (the decode hot path passes the workspace
   // buffer). Other precisions ignore the scratch.
-  void matvec(std::span<const float> x, std::span<float> out,
-              ActivationInt8& act_scratch) const;
+  void matvec(std::span<const float> x, std::span<float> out, ActivationInt8& act_scratch,
+              ThreadPool* pool = nullptr) const;
 
   // Y[t, :] = W * X[t, :] for t in [0, tokens); X is [tokens, in], Y is
   // [tokens, out]. INT8/INT4 use the blocked multi-token kernels (each
   // weight row streamed once for all tokens, activations quantized once per
-  // token); other precisions run per-token matvecs parallel over tokens.
-  void matmul(std::span<const float> x, std::span<float> y, std::size_t tokens) const;
+  // token); FP32 runs the GEMM microkernel and FP16 dequantizes each row
+  // once for all tokens.
+  void matmul(std::span<const float> x, std::span<float> y, std::size_t tokens,
+              ThreadPool* pool = nullptr) const;
 
   // Lane-batched matvec: one activation column per decode lane (X is
   // [lanes, in], Y is [lanes, out]), one weight stream shared by all lanes —
@@ -57,7 +68,7 @@ class WeightMatrix {
   // dotted per lane (the matmul path), which reorders the fp32 accumulation
   // within FMA tolerance. act_scratch feeds the INT8/INT4 paths.
   void matvec_multi(std::span<const float> x, std::span<float> y, std::size_t lanes,
-                    ActivationBatchInt8& act_scratch) const;
+                    ActivationBatchInt8& act_scratch, ThreadPool* pool = nullptr) const;
 
   // Reconstruct row r at fp32 (reference path for tests and error analysis).
   void dequantize_row(std::size_t r, std::span<float> out) const;
@@ -72,15 +83,17 @@ class WeightMatrix {
   friend void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk,
                          const WeightMatrix& wv, std::span<const float> x,
                          std::span<float> q, std::span<float> k, std::span<float> v,
-                         ActivationInt8& act_scratch);
+                         ActivationInt8& act_scratch, ThreadPool* pool);
   friend void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk,
                          const WeightMatrix& wv, std::span<const float> x,
                          std::span<float> q, std::span<float> k, std::span<float> v,
-                         std::size_t tokens, ActivationBatchInt8& act_scratch);
+                         std::size_t tokens, ActivationBatchInt8& act_scratch,
+                         ThreadPool* pool);
   friend void matvec_qkv_multi(const WeightMatrix& wq, const WeightMatrix& wk,
                                const WeightMatrix& wv, std::span<const float> x,
                                std::span<float> q, std::span<float> k, std::span<float> v,
-                               std::size_t lanes, ActivationBatchInt8& act_scratch);
+                               std::size_t lanes, ActivationBatchInt8& act_scratch,
+                               ThreadPool* pool);
 
   std::size_t out_features_ = 0;
   std::size_t in_features_ = 0;
@@ -100,7 +113,7 @@ class WeightMatrix {
 // act_scratch is caller-owned so the decode hot loop does not allocate.
 void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
                 std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, ActivationInt8& act_scratch);
+                std::span<float> v, ActivationInt8& act_scratch, ThreadPool* pool = nullptr);
 
 // Chunked counterpart of matvec_qkv: X is [tokens, in], Q/K/V are
 // [tokens, out_q/k/v]. When all three matrices are INT8 the chunk is
@@ -109,7 +122,8 @@ void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatr
 // through to matmul.
 void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
                 std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, std::size_t tokens, ActivationBatchInt8& act_scratch);
+                std::span<float> v, std::size_t tokens, ActivationBatchInt8& act_scratch,
+                ThreadPool* pool = nullptr);
 
 // Lane-batched counterpart of matvec_qkv: X holds one activation column per
 // lane. When all three matrices are INT8 (or INT4 on the native packed path)
@@ -119,6 +133,7 @@ void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatr
 // to per-matrix matvec_multi (which inherits the matvec_multi contract).
 void matvec_qkv_multi(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
                       std::span<const float> x, std::span<float> q, std::span<float> k,
-                      std::span<float> v, std::size_t lanes, ActivationBatchInt8& act_scratch);
+                      std::span<float> v, std::size_t lanes, ActivationBatchInt8& act_scratch,
+                      ThreadPool* pool = nullptr);
 
 }  // namespace orinsim::quant

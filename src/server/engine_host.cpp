@@ -78,9 +78,18 @@ void EngineHost::engine_loop() {
     // Token/finish callbacks fire inside step() on this thread, with mu_
     // held; they only touch per-stream locks and host counters.
     engine_.step();
+    // Hand mu_ to every caller queued on it before the next step.
+    cv_.wait(lk, [&] { return waiters_.load() == 0; });
   }
   drained_ = true;
   cv_.notify_all();
+}
+
+std::unique_lock<std::mutex> EngineHost::lock_between_steps() const {
+  waiters_.fetch_add(1);
+  std::unique_lock<std::mutex> lk(mu_);
+  if (waiters_.fetch_sub(1) == 1) cv_.notify_all();
+  return lk;
 }
 
 EngineHost::Submission EngineHost::submit(const std::string& prompt,
@@ -133,7 +142,7 @@ EngineHost::Submission EngineHost::submit(const std::string& prompt,
   req.max_new_tokens = max_new_tokens;
 
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    const std::unique_lock<std::mutex> lk = lock_between_steps();
     if (draining_ || stop_) {
       out.status = SubmitStatus::kDraining;
       return out;
@@ -156,7 +165,7 @@ EngineHost::Submission EngineHost::submit(const std::string& prompt,
 }
 
 EngineHost::Metrics EngineHost::metrics() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  const std::unique_lock<std::mutex> lk = lock_between_steps();
   Metrics m;
   m.submitted = engine_.submitted_count();
   m.rejected = rejected_;
@@ -197,7 +206,7 @@ EngineHost::Metrics EngineHost::metrics() const {
 }
 
 void EngineHost::drain() {
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk = lock_between_steps();
   if (!draining_) {
     draining_ = true;
     engine_.drain();

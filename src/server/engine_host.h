@@ -4,7 +4,9 @@
 // the host serializes every touch of it under one mutex. A dedicated engine
 // thread loops { step() } while work exists and parks on a condition
 // variable when idle; connection threads call submit()/metrics()/drain()
-// which take the same mutex between steps. Token callbacks fire on the
+// which take the same mutex between steps. The engine thread holds it for
+// one step at a time and hands it to waiting callers before the next, so
+// a submission or a scrape waits at most one step, not the whole run. Token callbacks fire on the
 // engine thread *inside* step() and only push into the per-request
 // CompletionStream (its own lock) — connection threads consuming a stream
 // never take the engine mutex, so the two lock domains never interleave in
@@ -21,6 +23,7 @@
 // nothing in flight is dropped.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -140,6 +143,11 @@ class EngineHost {
 
  private:
   void engine_loop();
+  // Locks mu_ for a connection thread. The caller counts as a waiter while
+  // it blocks, so the engine thread yields the lock between steps instead of
+  // re-taking it at once (std::mutex is unfair and could starve the caller
+  // until the engine goes idle).
+  std::unique_lock<std::mutex> lock_between_steps() const;
 
   serving::TokenBackend& backend_;
   const Tokenizer& tokenizer_;
@@ -147,7 +155,8 @@ class EngineHost {
   const Config config_;
 
   mutable std::mutex mu_;  // guards engine_ and all counters below
-  std::condition_variable cv_;
+  mutable std::condition_variable cv_;
+  mutable std::atomic<std::size_t> waiters_{0};  // callers blocked in lock_between_steps
   serving::ContinuousEngine engine_;
   std::vector<std::shared_ptr<CompletionStream>> streams_;  // by request id
   std::size_t rejected_ = 0;

@@ -863,9 +863,15 @@ FunctionalTokenBackend::FunctionalTokenBackend(Model& model, const Config& confi
   if (config_.prefix_cache) {
     prefix_cache_ = std::make_unique<PrefixCache>(cache_, config_.prefix_cache_blocks);
   }
+  // Every workspace carries the pool, so a step's kernels shard their rows
+  // over it when one request runs on the engine thread, and run inline
+  // inside a request shard of for_each.
   const std::size_t shards = pool_ != nullptr ? pool_->shard_count() : 1;
   workspaces_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) workspaces_.emplace_back(model_.config());
+  for (std::size_t s = 0; s < shards; ++s) {
+    workspaces_.emplace_back(model_.config());
+    workspaces_.back().pool = pool_;
+  }
   logits_.resize(config_.max_lanes * model_.config().vocab);
   if (config_.speculation.enabled) {
     ORINSIM_CHECK(draft != nullptr, "functional backend: speculation needs a draft model");
@@ -885,7 +891,10 @@ FunctionalTokenBackend::FunctionalTokenBackend(Model& model, const Config& confi
     draft_ = draft;
     const std::size_t k = config_.speculation.draft_tokens;
     draft_workspaces_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) draft_workspaces_.emplace_back(d);
+    for (std::size_t s = 0; s < shards; ++s) {
+      draft_workspaces_.emplace_back(d);
+      draft_workspaces_.back().pool = pool_;
+    }
     draft_logits_.resize(shards * d.vocab);
     proposals_.resize(config_.max_lanes * k);
     plan_k_.assign(config_.max_lanes, 0);
@@ -974,7 +983,7 @@ StepCost FunctionalTokenBackend::prefill(
       const std::size_t attached = cache_.seq_len(r.lane);
       model_.prefill(std::span<const TokenId>(r.prompt).subspan(attached), r.lane,
                      cache_, ws.hidden, ws);
-      model_.logits_from_hidden(ws.hidden, lane_logits(r.lane));
+      model_.logits_from_hidden(ws.hidden, lane_logits(r.lane), ws.pool);
     } else {
       // Resume: rebuild the pre-preemption cache *bit-exactly* — the prompt
       // through the same chunked prefill as the original admission, then the
@@ -1024,7 +1033,7 @@ StepCost FunctionalTokenBackend::decode_step(
   mean_ctx /= static_cast<double>(active.size());
   for_each(active, [&](InferenceWorkspace& ws, Request& r) {
     model_.forward_token(r.output.back(), r.lane, cache_, ws.hidden, ws);
-    model_.logits_from_hidden(ws.hidden, lane_logits(r.lane));
+    model_.logits_from_hidden(ws.hidden, lane_logits(r.lane), ws.pool);
   });
   // Sampling replays serially in active order after the parallel section.
   for (Request* r : active) {
@@ -1091,7 +1100,7 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
     TokenId feed = r.output.back();
     for (std::size_t i = 0; i < k; ++i) {
       draft_->forward_token(feed, branch, cache_, dws.hidden, dws);
-      draft_->logits_from_hidden(dws.hidden, dlogits);
+      draft_->logits_from_hidden(dws.hidden, dlogits, dws.pool);
       feed = static_cast<TokenId>(kernels::argmax(dlogits));
       proposals_[r.lane * cap + i] = feed;
     }
@@ -1119,7 +1128,7 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
     const std::size_t k = plan_k_[r.lane];
     if (k == 0) {
       model_.forward_token(r.output.back(), r.lane, cache_, ws.hidden, ws);
-      model_.logits_from_hidden(ws.hidden, lane_logits(r.lane));
+      model_.logits_from_hidden(ws.hidden, lane_logits(r.lane), ws.pool);
       return;
     }
     std::vector<TokenId> chunk(k + 1);
@@ -1132,7 +1141,7 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
         hidden,
         std::span<float>(verify_logits_.data() + r.lane * (cap + 1) * vocab,
                          (k + 1) * vocab),
-        k + 1);
+        k + 1, ws.pool);
   };
   if (pool_ != nullptr && active.size() > 1) {
     pool_->parallel_for(0, active.size(), [&](std::size_t shard, std::size_t i) {

@@ -425,7 +425,8 @@ class SimTokenBackend : public TokenBackend {
 // recompute is lossless), measured wall-clock costs, optional lane-parallel
 // decode on a ThreadPool (one workspace per shard; sampling replayed
 // serially in lane order, so outputs are bit-identical for any worker
-// count — the same discipline as Model::generate).
+// count — the same discipline as Model::generate). A step with one request
+// shards that request's kernel rows over the pool instead.
 class FunctionalTokenBackend : public TokenBackend {
  public:
   struct Config {
@@ -466,7 +467,8 @@ class FunctionalTokenBackend : public TokenBackend {
     SpeculationConfig speculation;
   };
 
-  // `model` must outlive the backend; `pool` may be null (serial decode).
+  // `model` must outlive the backend; `pool` may be null (serial decode and
+  // serial kernels).
   // `draft` is required iff config.speculation.enabled: it must share the
   // target's geometry (layers, heads, d_model, vocab) so draft and target
   // can read the same paged KV sequences — the same-master quantized

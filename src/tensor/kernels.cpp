@@ -4,15 +4,10 @@
 #include <cmath>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace orinsim::kernels {
-
-namespace {
-// Rows below this threshold run serially; OpenMP fork/join costs more than it
-// saves on tiny batches.
-constexpr std::size_t kParallelRowThreshold = 8;
-}  // namespace
 
 void add_bias(std::span<float> x, std::span<const float> bias, std::size_t rows,
               std::size_t cols) {
@@ -34,9 +29,8 @@ void scale_inplace(std::span<float> x, float factor) {
 
 void softmax_rows(std::span<float> x, std::size_t rows, std::size_t cols) {
   ORINSIM_CHECK(x.size() == rows * cols, "softmax: shape mismatch");
-#pragma omp parallel for if (rows >= kParallelRowThreshold)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    float* xr = x.data() + static_cast<std::size_t>(r) * cols;
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* xr = x.data() + r * cols;
     float mx = xr[0];
     for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
     float sum = 0.0f;
@@ -53,10 +47,9 @@ void rmsnorm_rows(std::span<const float> x, std::span<const float> gain, std::sp
                   std::size_t rows, std::size_t cols, float eps) {
   ORINSIM_CHECK(x.size() == rows * cols && y.size() == x.size() && gain.size() == cols,
                 "rmsnorm: shape mismatch");
-#pragma omp parallel for if (rows >= kParallelRowThreshold)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* xr = x.data() + static_cast<std::size_t>(r) * cols;
-    float* yr = y.data() + static_cast<std::size_t>(r) * cols;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* xr = x.data() + r * cols;
+    float* yr = y.data() + r * cols;
     double ss = 0.0;
     for (std::size_t c = 0; c < cols; ++c) ss += static_cast<double>(xr[c]) * xr[c];
     const float inv_rms =
@@ -71,10 +64,9 @@ void layernorm_rows(std::span<const float> x, std::span<const float> gain,
   ORINSIM_CHECK(x.size() == rows * cols && y.size() == x.size() && gain.size() == cols &&
                     bias.size() == cols,
                 "layernorm: shape mismatch");
-#pragma omp parallel for if (rows >= kParallelRowThreshold)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* xr = x.data() + static_cast<std::size_t>(r) * cols;
-    float* yr = y.data() + static_cast<std::size_t>(r) * cols;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* xr = x.data() + r * cols;
+    float* yr = y.data() + r * cols;
     double sum = 0.0;
     for (std::size_t c = 0; c < cols; ++c) sum += xr[c];
     const double m = sum / static_cast<double>(cols);
@@ -172,57 +164,56 @@ float dot(std::span<const float> a, std::span<const float> b) {
 }
 
 void matvec(std::span<const float> a, std::span<const float> x, std::span<float> out,
-            std::size_t rows, std::size_t cols) {
+            std::size_t rows, std::size_t cols, ThreadPool* pool) {
   ORINSIM_CHECK(a.size() == rows * cols && x.size() == cols && out.size() == rows,
                 "matvec: shape mismatch");
-#pragma omp parallel for if (rows >= 64)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* ar = a.data() + static_cast<std::size_t>(r) * cols;
-    out[static_cast<std::size_t>(r)] = simd::dot_f32(ar, x.data(), cols);
-  }
+  parallel_rows(pool, rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      out[r] = simd::dot_f32(a.data() + r * cols, x.data(), cols);
+    }
+  });
 }
 
 void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
-                  std::size_t rows, std::size_t cols, std::size_t lanes) {
+                  std::size_t rows, std::size_t cols, std::size_t lanes, ThreadPool* pool) {
   ORINSIM_CHECK(a.size() == rows * cols && x.size() == lanes * cols &&
                     out.size() == lanes * rows,
                 "matvec_multi: shape mismatch");
-#pragma omp parallel if (rows >= 64)
-  {
-    std::vector<float> tmp(lanes);
-#pragma omp for
-    for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(rows); ++rs) {
-      const auto r = static_cast<std::size_t>(rs);
-      const float* ar = a.data() + r * cols;
-      simd::dot_f32_multi(ar, x.data(), cols, lanes, cols, tmp.data());
-      for (std::size_t t = 0; t < lanes; ++t) out[t * rows + r] = tmp[t];
+  std::vector<float> tmp(row_shards(pool) * lanes);
+  parallel_rows(pool, rows, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+    float* t_out = tmp.data() + shard * lanes;
+    for (std::size_t r = r0; r < r1; ++r) {
+      simd::dot_f32_multi(a.data() + r * cols, x.data(), cols, lanes, cols, t_out);
+      for (std::size_t t = 0; t < lanes; ++t) out[t * rows + r] = t_out[t];
     }
-  }
+  });
 }
 
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
-          std::size_t m, std::size_t k, std::size_t n) {
+          std::size_t m, std::size_t k, std::size_t n, ThreadPool* pool) {
   ORINSIM_CHECK(a.size() == m * k && b.size() == k * n && c.size() == m * n,
                 "gemm: shape mismatch");
   std::fill(c.begin(), c.end(), 0.0f);
+  // Each output row sums over p in ascending order whatever the blocking, so
+  // the row tiles of parallel_rows leave the result unchanged.
   constexpr std::size_t kBlock = 64;
-#pragma omp parallel for if (m >= kParallelRowThreshold)
-  for (std::ptrdiff_t i0s = 0; i0s < static_cast<std::ptrdiff_t>(m); i0s += kBlock) {
-    const std::size_t i0 = static_cast<std::size_t>(i0s);
-    const std::size_t i_end = std::min(i0 + kBlock, m);
-    for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
-      const std::size_t p_end = std::min(p0 + kBlock, k);
-      for (std::size_t i = i0; i < i_end; ++i) {
-        const float* ai = a.data() + i * k;
-        float* ci = c.data() + i * n;
-        for (std::size_t p = p0; p < p_end; ++p) {
-          const float av = ai[p];
-          const float* bp = b.data() + p * n;
-          for (std::size_t j = 0; j < n; ++j) ci[j] += av * bp[j];
+  parallel_rows(pool, m, [&](std::size_t, std::size_t r0, std::size_t r1) {
+    for (std::size_t i0 = r0; i0 < r1; i0 += kBlock) {
+      const std::size_t i_end = std::min(i0 + kBlock, r1);
+      for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
+        const std::size_t p_end = std::min(p0 + kBlock, k);
+        for (std::size_t i = i0; i < i_end; ++i) {
+          const float* ai = a.data() + i * k;
+          float* ci = c.data() + i * n;
+          for (std::size_t p = p0; p < p_end; ++p) {
+            const float av = ai[p];
+            const float* bp = b.data() + p * n;
+            for (std::size_t j = 0; j < n; ++j) ci[j] += av * bp[j];
+          }
         }
       }
     }
-  }
+  });
 }
 
 std::size_t argmax(std::span<const float> x) {

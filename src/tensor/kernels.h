@@ -2,8 +2,10 @@
 //
 // Conventions:
 //  - Activations are row-major [tokens, features] spans.
-//  - All kernels are pure functions over spans; OpenMP-parallel over rows
-//    where the row count justifies it.
+//  - All kernels are pure functions over spans. The weight-streaming ones
+//    (matvec, matvec_multi, gemm) take an optional ThreadPool and shard their
+//    output rows over it (parallel_rows in core/thread_pool.h); results are
+//    bit-identical for any pool, and a null pool runs serially.
 //  - Weight matmuls live in quant/ (they dispatch on storage precision);
 //    these kernels cover everything else in a transformer block.
 #pragma once
@@ -11,6 +13,10 @@
 #include <cstddef>
 #include <span>
 #include <vector>
+
+namespace orinsim {
+class ThreadPool;
+}  // namespace orinsim
 
 namespace orinsim::kernels {
 
@@ -79,19 +85,20 @@ float dot(std::span<const float> a, std::span<const float> b);
 
 // out[r] = sum_c a[r,c]*b[c]; generic fp32 matvec used in attention.
 void matvec(std::span<const float> a, std::span<const float> x, std::span<float> out,
-            std::size_t rows, std::size_t cols);
+            std::size_t rows, std::size_t cols, ThreadPool* pool = nullptr);
 
 // Lane-batched matvec: x is [lanes, cols], out is [lanes, rows]; each weight
 // row is streamed once for all lanes. Lane t's result is bit-identical to
 // matvec(a, x[t]) at both kernel levels (simd::dot_f32_multi contract) —
 // used for the batched lm_head projection in decode.
 void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
-                  std::size_t rows, std::size_t cols, std::size_t lanes);
+                  std::size_t rows, std::size_t cols, std::size_t lanes,
+                  ThreadPool* pool = nullptr);
 
-// Plain fp32 GEMM: C[m,n] = A[m,k] * B[k,n]. Blocked + OpenMP. Used by tests
-// as the reference for quantized matmuls and by the trainer.
+// Plain fp32 GEMM: C[m,n] = A[m,k] * B[k,n], blocked, rows sharded over the
+// pool. Used by tests as the reference for quantized matmuls.
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
-          std::size_t m, std::size_t k, std::size_t n);
+          std::size_t m, std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
 
 // argmax over a span; ties resolve to the lowest index.
 std::size_t argmax(std::span<const float> x);

@@ -29,6 +29,10 @@
 #include <cstddef>
 #include <cstdint>
 
+namespace orinsim {
+class ThreadPool;
+}  // namespace orinsim
+
 namespace orinsim::simd {
 
 enum class Level {
@@ -120,9 +124,10 @@ void dot_i4_i8_multi_ref(const std::uint8_t* w_packed, const float* scales,
 // `tokens` independent matvecs. NOTE: the kNative 8-token register-tiled
 // block is composition-DEPENDENT (a token's float sequence differs between
 // the 8-block and the tail path) — prefill only; decode batching goes
-// through dot_f32_multi instead.
+// through dot_f32_multi instead. Rows are sharded over `pool` when given;
+// each row's sequence is the same for any pool.
 void gemm_nt_f32(const float* x, const float* w, float* y, std::size_t tokens,
-                 std::size_t k, std::size_t rows);
+                 std::size_t k, std::size_t rows, ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // Fused causal attention over a paged KV chain.

@@ -97,9 +97,7 @@ TrainReport train_readout(MasterWeights& master, const std::vector<TokenId>& tok
           probs[c] = static_cast<float>(std::exp(static_cast<double>(logits[c]) - lse));
         }
         probs[target] -= 1.0f;
-#pragma omp parallel for
-        for (std::ptrdiff_t cs = 0; cs < static_cast<std::ptrdiff_t>(vocab); ++cs) {
-          const auto c = static_cast<std::size_t>(cs);
+        for (std::size_t c = 0; c < vocab; ++c) {
           const float p = probs[c];
           if (p == 0.0f) continue;
           float* gc = grad.data() + c * d;
@@ -112,9 +110,7 @@ TrainReport train_readout(MasterWeights& master, const std::vector<TokenId>& tok
       const float inv_mb = 1.0f / static_cast<float>(mb);
       const float bc1 = 1.0f - std::pow(config.beta1, static_cast<float>(adam_t));
       const float bc2 = 1.0f - std::pow(config.beta2, static_cast<float>(adam_t));
-#pragma omp parallel for
-      for (std::ptrdiff_t is = 0; is < static_cast<std::ptrdiff_t>(w.size()); ++is) {
-        const auto i = static_cast<std::size_t>(is);
+      for (std::size_t i = 0; i < w.size(); ++i) {
         const float g = grad[i] * inv_mb;
         m[i] = config.beta1 * m[i] + (1.0f - config.beta1) * g;
         v[i] = config.beta2 * v[i] + (1.0f - config.beta2) * g * g;

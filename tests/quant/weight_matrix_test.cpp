@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <vector>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 
@@ -211,6 +213,77 @@ TEST(WeightMatrixTest, OutlierColumnsReportedForInt8) {
 TEST(WeightMatrixTest, ShapeMismatchRejected) {
   std::vector<float> w(10, 0.0f);
   EXPECT_THROW(WeightMatrix::create(w, 3, 4, DType::kF32), ContractViolation);
+}
+
+// Every row-sharded kernel, run once; returns all outputs in a fixed order.
+// Both row counts end in a partial kRowTile tile, and 11 tokens cover
+// gemm_nt's 8-token block plus its tail.
+std::deque<std::vector<float>> run_row_sharded_kernels(ThreadPool* pool) {
+  constexpr std::size_t kRows = 2 * kRowTile + 17, kKvRows = kRowTile + 6, kIn = 96;
+  constexpr std::size_t kLanes = 3, kTokens = 11, kGemmN = 7;
+  Rng rng(42);
+  std::vector<float> w = random_weights(kRows * kIn, rng);
+  for (std::size_t r = 0; r < kRows; r += 9) w[r * kIn + 5] = 3.0f;  // int8 outlier column
+  const std::vector<float> wk = random_weights(kKvRows * kIn, rng);
+  const std::vector<float> wv = random_weights(kKvRows * kIn, rng);
+  const std::vector<float> x = random_weights(kTokens * kIn, rng, 1.0);
+  const std::vector<float> b = random_weights(kIn * kGemmN, rng);
+  const std::span<const float> x1(x.data(), kIn), x_lanes(x.data(), kLanes * kIn);
+
+  std::deque<std::vector<float>> out;  // a deque keeps earlier buffers in place
+  auto buffer = [&](std::size_t n) -> std::vector<float>& {
+    out.emplace_back(n, 0.0f);
+    return out.back();
+  };
+  for (DType dt : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
+    const WeightMatrix m = WeightMatrix::create(w, kRows, kIn, dt);
+    const WeightMatrix mk = WeightMatrix::create(wk, kKvRows, kIn, dt);
+    const WeightMatrix mv = WeightMatrix::create(wv, kKvRows, kIn, dt);
+    ActivationInt8 act;
+    ActivationBatchInt8 acts;
+    m.matvec(x1, buffer(kRows), pool);
+    m.matvec(x1, buffer(kRows), act, pool);
+    m.matmul(x, buffer(kTokens * kRows), kTokens, pool);
+    m.matvec_multi(x_lanes, buffer(kLanes * kRows), kLanes, acts, pool);
+    auto& q1 = buffer(kRows);
+    auto& k1 = buffer(kKvRows);
+    auto& v1 = buffer(kKvRows);
+    matvec_qkv(m, mk, mv, x1, q1, k1, v1, act, pool);
+    auto& qt = buffer(kTokens * kRows);
+    auto& kt = buffer(kTokens * kKvRows);
+    auto& vt = buffer(kTokens * kKvRows);
+    matmul_qkv(m, mk, mv, x, qt, kt, vt, kTokens, acts, pool);
+    auto& ql = buffer(kLanes * kRows);
+    auto& kl = buffer(kLanes * kKvRows);
+    auto& vl = buffer(kLanes * kKvRows);
+    matvec_qkv_multi(m, mk, mv, x_lanes, ql, kl, vl, kLanes, acts, pool);
+  }
+  kernels::matvec(w, x1, buffer(kRows), kRows, kIn, pool);
+  kernels::matvec_multi(w, x_lanes, buffer(kLanes * kRows), kRows, kIn, kLanes, pool);
+  kernels::gemm(w, b, buffer(kRows * kGemmN), kRows, kIn, kGemmN, pool);
+  simd::gemm_nt_f32(x.data(), w.data(), buffer(kTokens * kRows).data(), kTokens, kIn, kRows,
+                    pool);
+  return out;
+}
+
+// The one-pool rule's determinism contract: sharding output rows over any
+// pool — or running inline inside an outer lane shard — never changes a bit.
+TEST(RowShardingTest, EveryKernelIsBitIdenticalForAnyPool) {
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    SCOPED_TRACE(simd::level_name(level));
+    const std::deque<std::vector<float>> serial = run_row_sharded_kernels(nullptr);
+    for (std::size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE("pool of " + std::to_string(threads));
+      ThreadPool pool(threads);
+      EXPECT_TRUE(run_row_sharded_kernels(&pool) == serial);
+      std::vector<std::deque<std::vector<float>>> lanes(3);
+      pool.parallel_for(0, lanes.size(), [&](std::size_t lane) {
+        lanes[lane] = run_row_sharded_kernels(&pool);
+      });
+      for (const auto& lane : lanes) EXPECT_TRUE(lane == serial);
+    }
+  }
 }
 
 }  // namespace

@@ -374,6 +374,39 @@ TEST_F(ServerE2ETest, QueueCapOverflowAnswers429) {
   EXPECT_EQ(m.submitted, static_cast<std::size_t>(ok.load()));
 }
 
+// The engine thread holds the host lock for one step at a time, so a
+// submission made while another request decodes is accepted between two
+// steps instead of waiting for that request to retire.
+TEST_F(ServerE2ETest, SubmitIsAcceptedWhileAnotherRequestDecodes) {
+  serving::FunctionalTokenBackend::Config bc;
+  bc.max_lanes = 2;
+  bc.max_seq = config_.max_seq;
+  serving::FunctionalTokenBackend inner(*model_, bc, nullptr);
+  const std::atomic<int> no_clients{0};
+  HoldingBackend slow(inner, no_clients, 0);  // no hold; decode steps >= 2 ms
+  EngineHost host(slow, tokenizer_, config_.max_seq, {});
+
+  // 150 decode steps: the first request decodes for at least 300 ms.
+  const EngineHost::Submission first = host.submit("the history of the", 150);
+  ASSERT_EQ(first.status, EngineHost::SubmitStatus::kOk);
+  std::string token;
+  ASSERT_TRUE(first.stream->next_token(token));
+
+  const EngineHost::Submission second = host.submit("computer systems are", 4);
+  ASSERT_EQ(second.status, EngineHost::SubmitStatus::kOk);
+  const EngineHost::Metrics m = host.metrics();
+  EXPECT_EQ(m.submitted, 2u);
+  EXPECT_EQ(m.completed, 0u) << "the submission waited for the running request to retire";
+
+  while (first.stream->next_token(token)) {
+  }
+  while (second.stream->next_token(token)) {
+  }
+  EXPECT_EQ(first.stream->final_info().completion_tokens, 150u);
+  EXPECT_EQ(second.stream->final_info().completion_tokens, 4u);
+  EXPECT_EQ(host.metrics().completed, 2u);
+}
+
 TEST_F(ServerE2ETest, EarlyDisconnectMidSseLeavesOtherRequestsUnaffected) {
   auto backend = make_backend(false);
   LiveServer live(*backend, tokenizer_, config_.max_seq, {});

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <memory>
 
 #include "core/error.h"
 
@@ -43,7 +42,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    stop_.store(true);
   }
   cv_task_.notify_all();
   for (auto& w : workers_) w.join();
@@ -51,16 +50,15 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> task) {
   ORINSIM_CHECK(task != nullptr, "submit: null task");
-  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ORINSIM_CHECK(!stop_, "submit after shutdown");
+    ORINSIM_CHECK(!stop_.load(), "submit after shutdown");
     queue_.push_back(std::move(task));
-    queued_.fetch_add(1, std::memory_order_release);
+    queued_.fetch_add(1);
     ++in_flight_;
-    wake = sleeping_ > 0;  // a spinning worker finds the task without a wake
   }
-  if (wake) cv_task_.notify_one();
+  // A spinning worker finds the task without a wake.
+  if (sleeping_.load() > 0) cv_task_.notify_one();
 }
 
 void ThreadPool::wait_idle() {
@@ -70,49 +68,34 @@ void ThreadPool::wait_idle() {
 
 namespace {
 
-// The pool whose fanned-out parallel_for index the current thread is
-// running, if any: a nested call on that pool runs inline.
+// The pool whose parallel_for index the current thread is running, if any:
+// a nested call on that pool runs inline.
 thread_local const ThreadPool* tls_fanout_pool = nullptr;
 
-// Shared between the caller and the helper shards it submits. Owned by
-// shared_ptr so a helper that is still queued when the caller returns (all
-// indices already drained) runs harmlessly against live state and frees it
-// when the last reference drops.
-struct ParallelForState {
-  const ThreadPool* pool = nullptr;
-  std::function<void(std::size_t, std::size_t)> fn;
-  std::atomic<std::size_t> next{0};
-  std::size_t end = 0;
-  std::size_t total = 0;
-  std::atomic<std::size_t> completed{0};
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::exception_ptr first_error;
-};
+}  // namespace
 
-void run_shard(const std::shared_ptr<ParallelForState>& st, std::size_t shard) {
+// Claims and runs indices of the open job until none are left.
+void ThreadPool::run_job(std::size_t shard) {
   const ThreadPool* const outer = tls_fanout_pool;
-  tls_fanout_pool = st->pool;
+  tls_fanout_pool = this;
   for (;;) {
-    const std::size_t i = st->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= st->end) break;
+    const std::size_t i = job_.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job_.end) break;
     try {
-      st->fn(shard, i);
+      (*job_.fn)(shard, i);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(st->mutex);
-      if (!st->first_error) st->first_error = std::current_exception();
+      std::lock_guard<std::mutex> lock(job_.mutex);
+      if (!job_.error) job_.error = std::current_exception();
     }
-    if (st->completed.fetch_add(1, std::memory_order_acq_rel) + 1 == st->total) {
+    if (job_.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Empty critical section pairs with the predicate check under the lock
       // in the caller's wait, closing the check-then-sleep window.
-      { std::lock_guard<std::mutex> lock(st->mutex); }
-      st->cv.notify_all();
+      { std::lock_guard<std::mutex> lock(job_.mutex); }
+      job_.cv.notify_one();
     }
   }
   tls_fanout_pool = outer;
 }
-
-}  // namespace
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
@@ -124,7 +107,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   ORINSIM_CHECK(fn != nullptr, "parallel_for: null body");
-  if (end - begin == 1 || tls_fanout_pool == this) {
+  if (end - begin == 1 || workers_.empty() || tls_fanout_pool == this ||
+      job_.owned.exchange(true, std::memory_order_acquire)) {
     std::exception_ptr first_error;
     for (std::size_t i = begin; i < end; ++i) {
       try {
@@ -136,44 +120,76 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     if (first_error) std::rethrow_exception(first_error);
     return;
   }
-  auto st = std::make_shared<ParallelForState>();
-  st->pool = this;
-  st->fn = fn;  // copied: queued helpers may outlive the caller's frame
-  st->next.store(begin, std::memory_order_relaxed);
-  st->end = end;
-  st->total = end - begin;
-
-  // Shard 0 is the caller; helpers occupy at most one shard per worker.
-  const std::size_t shards = std::min<std::size_t>(shard_count(), st->total);
-  for (std::size_t s = 1; s < shards; ++s) {
-    submit([st, s] { run_shard(st, s); });
+  job_.fn = &fn;
+  job_.end = end;
+  job_.error = nullptr;
+  job_.shards = std::min(shard_count(), end - begin);
+  job_.next_shard.store(1, std::memory_order_relaxed);
+  job_.next.store(begin, std::memory_order_relaxed);
+  job_.pending.store(end - begin, std::memory_order_relaxed);
+  // open before epoch: a worker that sees the new epoch must find the job
+  // open, or it would skip the job as already seen.
+  job_.open.store(true);
+  job_.epoch.fetch_add(1);
+  if (sleeping_.load() > 0) {
+    // Taking the lock orders this wake after a sleeping worker's predicate
+    // check, which already reads the new epoch (both sides are seq_cst).
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv_task_.notify_all();
   }
-  run_shard(st, 0);
+  run_job(0);
 
-  // Wait on index completion, not helper completion: helpers stuck in the
-  // queue (e.g. behind the caller's own task in a nested call) are not
-  // needed once every index has been claimed and finished.
-  spin_until([&] { return st->completed.load(std::memory_order_acquire) == st->total; });
-  std::unique_lock<std::mutex> lock(st->mutex);
-  st->cv.wait(lock, [&] {
-    return st->completed.load(std::memory_order_acquire) == st->total;
-  });
-  if (st->first_error) std::rethrow_exception(st->first_error);
+  // Wait on index completion; then close the job and wait for helpers to
+  // leave it, since the slot (and fn) must not be touched after return.
+  if (!spin_until([&] { return job_.pending.load(std::memory_order_acquire) == 0; })) {
+    std::unique_lock<std::mutex> lock(job_.mutex);
+    job_.cv.wait(lock, [&] { return job_.pending.load(std::memory_order_acquire) == 0; });
+  }
+  job_.open.store(false);
+  while (job_.helpers.load() != 0) std::this_thread::yield();
+  const std::exception_ptr error = job_.error;
+  job_.fn = nullptr;
+  job_.owned.store(false, std::memory_order_release);
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t seen_epoch = job_.epoch.load();
+  const auto ready = [&] {
+    return job_.epoch.load() != seen_epoch || queued_.load() > 0 || stop_.load();
+  };
   for (;;) {
-    spin_until([this] { return queued_.load(std::memory_order_acquire) > 0; });
+    if (!spin_until(ready)) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      sleeping_.fetch_add(1);
+      cv_task_.wait(lock, ready);
+      sleeping_.fetch_sub(1);
+    }
+    const std::uint64_t epoch = job_.epoch.load();
+    if (epoch != seen_epoch) {
+      seen_epoch = epoch;
+      // Join only while the job is open. The caller closes it before
+      // waiting for helpers to reach 0, so either it sees this increment
+      // or this thread sees the job closed (both sides are seq_cst). A newer
+      // job that opened meanwhile is safe to join: its fields are set.
+      job_.helpers.fetch_add(1);
+      if (job_.open.load()) {
+        const std::size_t shard = job_.next_shard.fetch_add(1, std::memory_order_relaxed);
+        if (shard < job_.shards) run_job(shard);
+      }
+      job_.helpers.fetch_sub(1);
+      continue;
+    }
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ++sleeping_;
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      --sleeping_;
-      if (stop_ && queue_.empty()) return;
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (queue_.empty()) {
+        if (stop_.load()) return;
+        continue;
+      }
       task = std::move(queue_.front());
       queue_.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
+      queued_.fetch_sub(1);
     }
     task();
     {

@@ -98,7 +98,7 @@ void matvec_int8(const RowwiseInt8& q, std::span<const float> x,
   const std::int8_t* xq = act.codes.data();
   const float x_scale = act.scale;
   const std::size_t n_out = q.outlier_cols.size();
-  parallel_rows(pool, q.rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+  parallel_rows(pool, q.rows, q.cols, [&](std::size_t, std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const std::int8_t* codes = q.codes.data() + r * q.cols;
       const std::int64_t acc = simd::dot_i8(codes, xq, q.cols);
@@ -167,9 +167,10 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
     float* dst = x_out.data() + t * n_out;
     for (std::size_t o = 0; o < n_out; ++o) dst[o] = xt[q.outlier_cols[o]];
   }
-  std::vector<std::int64_t> dots_all(row_shards(pool) * tokens);
-  parallel_rows(pool, q.rows, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
-    std::int64_t* dots = dots_all.data() + shard * tokens;
+  ShardScratch<std::int64_t> dots_all(pool, tokens);
+  parallel_rows(pool, q.rows, q.cols * tokens,
+                [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+    std::int64_t* dots = dots_all[shard];
     for (std::size_t r = r0; r < r1; ++r) {
       const std::int8_t* codes = q.codes.data() + r * q.cols;
       // Outlier weights were converted to fp32 once at quantize time.
@@ -205,9 +206,10 @@ void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
   ORINSIM_CHECK(acts.tokens == lanes && acts.cols == q.cols,
                 "int8 multi matvec: activation batch shape mismatch");
   const std::size_t n_out = q.outlier_cols.size();
-  std::vector<std::int64_t> dots_all(row_shards(pool) * lanes);
-  parallel_rows(pool, q.rows, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
-    std::int64_t* dots = dots_all.data() + shard * lanes;
+  ShardScratch<std::int64_t> dots_all(pool, lanes);
+  parallel_rows(pool, q.rows, q.cols * lanes,
+                [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+    std::int64_t* dots = dots_all[shard];
     for (std::size_t r = r0; r < r1; ++r) {
       const std::int8_t* codes = q.codes.data() + r * q.cols;
       simd::dot_i8_multi(codes, acts.codes.data(), q.cols, lanes, q.cols, dots);
@@ -341,7 +343,7 @@ bool int4_native_path(const BlockInt4& q) {
 // The bit-exact reference — unchanged since the seed.
 void matvec_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> out,
                         ThreadPool* pool) {
-  parallel_rows(pool, q.rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+  parallel_rows(pool, q.rows, q.cols, [&](std::size_t, std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       float acc = 0.0f;
       for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
@@ -367,7 +369,7 @@ void matvec_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<
 void matmul_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> y,
                         std::size_t tokens, ThreadPool* pool) {
   constexpr std::size_t kTokenTile = 8;
-  parallel_rows(pool, q.rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+  parallel_rows(pool, q.rows, q.cols * tokens, [&](std::size_t, std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
         const std::size_t tile = std::min(kTokenTile, tokens - t0);
@@ -398,9 +400,10 @@ void matmul_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<
 void matmul_int4_packed(const BlockInt4& q, const std::int8_t* codes, const float* scales,
                         std::size_t stride, std::span<float> y, std::size_t tokens,
                         ThreadPool* pool) {
-  std::vector<float> tmp_all(row_shards(pool) * tokens);
-  parallel_rows(pool, q.rows, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
-    float* tmp = tmp_all.data() + shard * tokens;
+  ShardScratch<float> tmp_all(pool, tokens);
+  parallel_rows(pool, q.rows, q.cols * tokens,
+                [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+    float* tmp = tmp_all[shard];
     for (std::size_t r = r0; r < r1; ++r) {
       simd::dot_i4_i8_multi(
           q.packed_kernel.data() + r * q.blocks_per_row * simd::kInt4KernelBlockBytes,

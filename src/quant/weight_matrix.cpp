@@ -51,14 +51,16 @@ void WeightMatrix::matvec(std::span<const float> x, std::span<float> out,
                 "WeightMatrix::matvec shape mismatch");
   switch (dtype_) {
     case DType::kF32:
-      parallel_rows(pool, out_features_, [&](std::size_t, std::size_t r0, std::size_t r1) {
+      parallel_rows(pool, out_features_, in_features_,
+                    [&](std::size_t, std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
           out[r] = simd::dot_f32(f32_.data() + r * in_features_, x.data(), in_features_);
         }
       });
       break;
     case DType::kF16:
-      parallel_rows(pool, out_features_, [&](std::size_t, std::size_t r0, std::size_t r1) {
+      parallel_rows(pool, out_features_, in_features_,
+                    [&](std::size_t, std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
           const fp16_t* wr = f16_.data() + r * in_features_;
           float acc = 0.0f;
@@ -106,9 +108,10 @@ void WeightMatrix::matvec_multi(std::span<const float> x, std::span<float> y,
     case DType::kF32: {
       // dot_f32_multi replicates the single-dot float sequence per lane at
       // both levels, so each lane equals matvec bit-for-bit.
-      std::vector<float> tmp_all(row_shards(pool) * lanes);
-      parallel_rows(pool, out_features_, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
-        float* tmp = tmp_all.data() + shard * lanes;
+      ShardScratch<float> tmp_all(pool, lanes);
+      parallel_rows(pool, out_features_, in_features_ * lanes,
+                    [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+        float* tmp = tmp_all[shard];
         for (std::size_t r = r0; r < r1; ++r) {
           const float* wr = f32_.data() + r * in_features_;
           simd::dot_f32_multi(wr, x.data(), in_features_, lanes, in_features_, tmp);
@@ -127,7 +130,8 @@ void WeightMatrix::matvec_multi(std::span<const float> x, std::span<float> y,
       } else {
         // kScalar: the exact inline conversion + accumulation sequence of
         // the fp16 matvec, per lane.
-        parallel_rows(pool, out_features_, [&](std::size_t, std::size_t r0, std::size_t r1) {
+        parallel_rows(pool, out_features_, in_features_ * lanes,
+                      [&](std::size_t, std::size_t r0, std::size_t r1) {
           for (std::size_t r = r0; r < r1; ++r) {
             const fp16_t* wr = f16_.data() + r * in_features_;
             for (std::size_t t = 0; t < lanes; ++t) {
@@ -175,9 +179,10 @@ void WeightMatrix::matmul(std::span<const float> x, std::span<float> y, std::siz
     case DType::kF16: {
       // Dequantize each weight row once, then dot it against every token.
       // The per-(token, row) float sequence matches the fp16 matvec exactly.
-      std::vector<float> rows_all(row_shards(pool) * in_features_);
-      parallel_rows(pool, out_features_, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
-        float* row = rows_all.data() + shard * in_features_;
+      ShardScratch<float> rows_all(pool, in_features_);
+      parallel_rows(pool, out_features_, in_features_ * tokens,
+                    [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+        float* row = rows_all[shard];
         for (std::size_t r = r0; r < r1; ++r) {
           const fp16_t* wr = f16_.data() + r * in_features_;
           for (std::size_t c = 0; c < in_features_; ++c) row[c] = fp16_to_float(wr[c]);

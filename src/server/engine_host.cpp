@@ -78,17 +78,22 @@ void EngineHost::engine_loop() {
     // Token/finish callbacks fire inside step() on this thread, with mu_
     // held; they only touch per-stream locks and host counters.
     engine_.step();
-    // Hand mu_ to every caller queued on it before the next step.
-    cv_.wait(lk, [&] { return waiters_.load() == 0; });
+    // Hand mu_ to every caller already waiting for it before the next step.
+    // Every caller served so far took its ticket before this point, so the
+    // owed count is the tickets issued minus the callers served.
+    handoff_end_ = tickets_.load();
+    handoff_owed_ = handoff_end_ - served_;
+    cv_.wait(lk, [&] { return handoff_owed_ == 0; });
   }
   drained_ = true;
   cv_.notify_all();
 }
 
 std::unique_lock<std::mutex> EngineHost::lock_between_steps() const {
-  waiters_.fetch_add(1);
+  const std::uint64_t ticket = tickets_.fetch_add(1);
   std::unique_lock<std::mutex> lk(mu_);
-  if (waiters_.fetch_sub(1) == 1) cv_.notify_all();
+  ++served_;
+  if (ticket < handoff_end_ && --handoff_owed_ == 0) cv_.notify_all();
   return lk;
 }
 

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -143,10 +144,12 @@ class EngineHost {
 
  private:
   void engine_loop();
-  // Locks mu_ for a connection thread. The caller counts as a waiter while
-  // it blocks, so the engine thread yields the lock between steps instead of
-  // re-taking it at once (std::mutex is unfair and could starve the caller
-  // until the engine goes idle).
+  // Locks mu_ for a connection thread. The caller takes a ticket before it
+  // blocks; after each step the engine thread waits until every caller
+  // that held a ticket by then has had the lock (std::mutex is unfair, so
+  // re-taking it at once could starve them until the engine goes idle).
+  // Callers arriving during that handoff wait for the next step, so a
+  // steady stream of them cannot hold the engine off either.
   std::unique_lock<std::mutex> lock_between_steps() const;
 
   serving::TokenBackend& backend_;
@@ -156,7 +159,10 @@ class EngineHost {
 
   mutable std::mutex mu_;  // guards engine_ and all counters below
   mutable std::condition_variable cv_;
-  mutable std::atomic<std::size_t> waiters_{0};  // callers blocked in lock_between_steps
+  mutable std::atomic<std::uint64_t> tickets_{0};  // callers that asked for mu_
+  mutable std::uint64_t served_ = 0;       // callers that got mu_
+  mutable std::uint64_t handoff_end_ = 0;  // tickets below this go before the next step
+  mutable std::uint64_t handoff_owed_ = 0;  // of those, callers still waiting for mu_
   serving::ContinuousEngine engine_;
   std::vector<std::shared_ptr<CompletionStream>> streams_;  // by request id
   std::size_t rejected_ = 0;

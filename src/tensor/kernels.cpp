@@ -167,7 +167,7 @@ void matvec(std::span<const float> a, std::span<const float> x, std::span<float>
             std::size_t rows, std::size_t cols, ThreadPool* pool) {
   ORINSIM_CHECK(a.size() == rows * cols && x.size() == cols && out.size() == rows,
                 "matvec: shape mismatch");
-  parallel_rows(pool, rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+  parallel_rows(pool, rows, cols, [&](std::size_t, std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       out[r] = simd::dot_f32(a.data() + r * cols, x.data(), cols);
     }
@@ -179,9 +179,9 @@ void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<
   ORINSIM_CHECK(a.size() == rows * cols && x.size() == lanes * cols &&
                     out.size() == lanes * rows,
                 "matvec_multi: shape mismatch");
-  std::vector<float> tmp(row_shards(pool) * lanes);
-  parallel_rows(pool, rows, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
-    float* t_out = tmp.data() + shard * lanes;
+  ShardScratch<float> tmp(pool, lanes);
+  parallel_rows(pool, rows, cols * lanes, [&](std::size_t shard, std::size_t r0, std::size_t r1) {
+    float* t_out = tmp[shard];
     for (std::size_t r = r0; r < r1; ++r) {
       simd::dot_f32_multi(a.data() + r * cols, x.data(), cols, lanes, cols, t_out);
       for (std::size_t t = 0; t < lanes; ++t) out[t * rows + r] = t_out[t];
@@ -197,7 +197,7 @@ void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c
   // Each output row sums over p in ascending order whatever the blocking, so
   // the row tiles of parallel_rows leave the result unchanged.
   constexpr std::size_t kBlock = 64;
-  parallel_rows(pool, m, [&](std::size_t, std::size_t r0, std::size_t r1) {
+  parallel_rows(pool, m, k * n, [&](std::size_t, std::size_t r0, std::size_t r1) {
     for (std::size_t i0 = r0; i0 < r1; i0 += kBlock) {
       const std::size_t i_end = std::min(i0 + kBlock, r1);
       for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {

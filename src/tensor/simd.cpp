@@ -448,7 +448,7 @@ void gemm_nt_f32(const float* x, const float* w, float* y, std::size_t tokens, s
                  std::size_t rows, ThreadPool* pool) {
 #if ORINSIM_SIMD_X86
   if (active_level() == Level::kNative) {
-    parallel_rows(pool, rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+    parallel_rows(pool, rows, k * tokens, [&](std::size_t, std::size_t r0, std::size_t r1) {
       for (std::size_t r = r0; r < r1; ++r) gemm_nt_row_avx2(x, w + r * k, y, tokens, k, rows, r);
     });
     return;
@@ -456,7 +456,7 @@ void gemm_nt_f32(const float* x, const float* w, float* y, std::size_t tokens, s
 #endif
   // Scalar: each output entry is the exact dot_f32_scalar float sequence, so
   // chunked projections match token-at-a-time matvecs bit-for-bit.
-  parallel_rows(pool, rows, [&](std::size_t, std::size_t r0, std::size_t r1) {
+  parallel_rows(pool, rows, k * tokens, [&](std::size_t, std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       for (std::size_t t = 0; t < tokens; ++t) {
         y[t * rows + r] = dot_f32_scalar(x + t * k, w + r * k, k);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -124,6 +127,19 @@ TEST(ThreadPoolTest, ShardOverloadSerializesWithinShard) {
   EXPECT_EQ(total, static_cast<long long>(n) * (n - 1) / 2);
 }
 
+// Callers size per-shard scratch by min(shard_count(), indices), so a short
+// range on a wide pool must never see a shard past its index count.
+TEST(ThreadPoolTest, ShardStaysBelowIndexCount) {
+  ThreadPool pool(6);
+  std::atomic<bool> shard_in_range{true};
+  for (int rep = 0; rep < 200; ++rep) {
+    pool.parallel_for(0, 3, [&](std::size_t shard, std::size_t) {
+      if (shard >= 3) shard_in_range.store(false);
+    });
+  }
+  EXPECT_TRUE(shard_in_range.load());
+}
+
 TEST(ThreadPoolTest, ShardZeroIsCallingThread) {
   ThreadPool pool(2);
   const auto caller = std::this_thread::get_id();
@@ -134,6 +150,30 @@ TEST(ThreadPoolTest, ShardZeroIsCallingThread) {
     }
   });
   EXPECT_TRUE(shard0_is_caller.load());
+}
+
+// parallel_rows hands each kRowTile tile to fn separately once the kernel
+// is big enough, and the whole range in one serial call otherwise.
+TEST(ThreadPoolTest, ParallelRowsTilesOnlyAboveWorkCutoff) {
+  ThreadPool pool(2);
+  const std::size_t rows = 3 * kRowTile + 5;
+  auto ranges = [&](ThreadPool* p, std::size_t row_work) {
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> seen;
+    parallel_rows(p, rows, row_work, [&](std::size_t, std::size_t r0, std::size_t r1) {
+      std::lock_guard<std::mutex> lock(mu);
+      seen.emplace_back(r0, r1);
+    });
+    std::sort(seen.begin(), seen.end());
+    return seen;
+  };
+  const std::vector<std::pair<std::size_t, std::size_t>> whole = {{0, rows}};
+  const std::vector<std::pair<std::size_t, std::size_t>> tiles = {
+      {0, kRowTile}, {kRowTile, 2 * kRowTile}, {2 * kRowTile, 3 * kRowTile},
+      {3 * kRowTile, rows}};
+  EXPECT_EQ(ranges(&pool, kMinParallelWork), tiles);
+  EXPECT_EQ(ranges(&pool, kMinParallelWork / rows - 1), whole);
+  EXPECT_EQ(ranges(nullptr, kMinParallelWork), whole);
 }
 
 }  // namespace

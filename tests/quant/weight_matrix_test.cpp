@@ -216,10 +216,12 @@ TEST(WeightMatrixTest, ShapeMismatchRejected) {
 }
 
 // Every row-sharded kernel, run once; returns all outputs in a fixed order.
-// Both row counts end in a partial kRowTile tile, and 11 tokens cover
+// Both row counts end in a partial kRowTile tile, every single-token kernel
+// is large enough to shard (kMinParallelWork), and 11 tokens cover
 // gemm_nt's 8-token block plus its tail.
 std::deque<std::vector<float>> run_row_sharded_kernels(ThreadPool* pool) {
-  constexpr std::size_t kRows = 2 * kRowTile + 17, kKvRows = kRowTile + 6, kIn = 96;
+  constexpr std::size_t kRows = 8 * kRowTile + 5, kKvRows = 4 * kRowTile + 6, kIn = 2048;
+  static_assert(kKvRows * kIn >= kMinParallelWork);
   constexpr std::size_t kLanes = 3, kTokens = 11, kGemmN = 7;
   Rng rng(42);
   std::vector<float> w = random_weights(kRows * kIn, rng);

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -392,7 +393,9 @@ TEST_F(ServerE2ETest, SubmitIsAcceptedWhileAnotherRequestDecodes) {
   std::string token;
   ASSERT_TRUE(first.stream->next_token(token));
 
-  const EngineHost::Submission second = host.submit("computer systems are", 4);
+  // 50 decode steps: the second request cannot itself retire (>= 100 ms)
+  // before the scrape below.
+  const EngineHost::Submission second = host.submit("computer systems are", 50);
   ASSERT_EQ(second.status, EngineHost::SubmitStatus::kOk);
   const EngineHost::Metrics m = host.metrics();
   EXPECT_EQ(m.submitted, 2u);
@@ -403,8 +406,48 @@ TEST_F(ServerE2ETest, SubmitIsAcceptedWhileAnotherRequestDecodes) {
   while (second.stream->next_token(token)) {
   }
   EXPECT_EQ(first.stream->final_info().completion_tokens, 150u);
-  EXPECT_EQ(second.stream->final_info().completion_tokens, 4u);
+  EXPECT_EQ(second.stream->final_info().completion_tokens, 50u);
   EXPECT_EQ(host.metrics().completed, 2u);
+}
+
+// The handoff is one round per step: callers that keep asking for the host
+// lock (two threads scraping metrics back to back) each get it between
+// steps, but never hold the engine off, so the request decodes to the end.
+TEST_F(ServerE2ETest, MetricsScrapedInALoopDoNotStallDecoding) {
+  serving::FunctionalTokenBackend::Config bc;
+  bc.max_lanes = 2;
+  bc.max_seq = config_.max_seq;
+  serving::FunctionalTokenBackend inner(*model_, bc, nullptr);
+  const std::atomic<int> no_clients{0};
+  HoldingBackend slow(inner, no_clients, 0);  // no hold; decode steps >= 2 ms
+  EngineHost host(slow, tokenizer_, config_.max_seq, {});
+
+  const EngineHost::Submission sub = host.submit("the history of the", 40);
+  ASSERT_EQ(sub.status, EngineHost::SubmitStatus::kOk);
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> scrapes{0};
+  std::vector<std::thread> scrapers;
+  for (int i = 0; i < 2; ++i) {
+    scrapers.emplace_back([&] {
+      while (!stop.load()) {
+        (void)host.metrics();
+        scrapes.fetch_add(1);
+      }
+    });
+  }
+  std::future<void> decoded = std::async(std::launch::async, [&] {
+    std::string token;
+    while (sub.stream->next_token(token)) {
+    }
+  });
+  const bool finished =
+      decoded.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  stop.store(true);
+  for (std::thread& t : scrapers) t.join();
+  decoded.wait();
+  EXPECT_TRUE(finished) << "metrics scrapes held the engine off for 60 s";
+  EXPECT_EQ(sub.stream->final_info().completion_tokens, 40u);
+  EXPECT_GT(scrapes.load(), 0u);
 }
 
 TEST_F(ServerE2ETest, EarlyDisconnectMidSseLeavesOtherRequestsUnaffected) {
